@@ -101,14 +101,11 @@ BENCHMARK(BM_Distinct)->Arg(100000);
 
 // map -> filter -> flatMap -> groupByKey, the canonical narrow chain of
 // the join pipelines (prefix emission, predicate filters, re-keying).
-// With fusion the three narrow ops execute inside the shuffle-write
-// stage; without it every operator materializes its own dataset. The
-// counters report stages executed and elements materialized per
-// iteration so EXPERIMENTS.md can quote them directly.
-void ChainBenchmark(benchmark::State& state, bool fuse) {
-  Context::Options options = BenchCluster();
-  options.fuse_narrow_ops = fuse;
-  Context ctx(options);
+// The three narrow ops fuse into the shuffle-write stage. The counters
+// report stages executed and elements materialized per iteration so
+// EXPERIMENTS.md can quote them directly.
+void BM_ChainFused(benchmark::State& state) {
+  Context ctx(BenchCluster());
   const size_t n = static_cast<size_t>(state.range(0));
   auto ds = Parallelize(&ctx, MakeKv(n, 1024), 16);
   ctx.metrics().Clear();
@@ -141,16 +138,7 @@ void ChainBenchmark(benchmark::State& state, bool fuse) {
       iters;
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_ChainFused(benchmark::State& state) {
-  ChainBenchmark(state, /*fuse=*/true);
-}
 BENCHMARK(BM_ChainFused)->Arg(100000);
-
-void BM_ChainUnfused(benchmark::State& state) {
-  ChainBenchmark(state, /*fuse=*/false);
-}
-BENCHMARK(BM_ChainUnfused)->Arg(100000);
 
 void BM_SortByKey(benchmark::State& state) {
   Context ctx(BenchCluster());

@@ -6,13 +6,29 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <unordered_set>
 
 namespace rankjoin {
+
+namespace {
+
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Parses all of [begin, end) as a decimal uint32; false when the token
+/// has any non-digit (a sign included) or exceeds 2^32 - 1.
+bool ParseU32(const char* begin, const char* end, uint32_t* out) {
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 Result<RankingDataset> ReadRankings(const std::string& path, int k) {
   std::ifstream in(path);
@@ -22,46 +38,60 @@ Result<RankingDataset> ReadRankings(const std::string& path, int k) {
   dataset.k = k;
   std::string line;
   size_t line_number = 0;
-  RankingId next_id = 0;
+  // 64-bit so that the implicit id after 2^32 - 1 is detected, not
+  // wrapped to 0.
+  uint64_t next_id = 0;
+  auto error = [&](const std::string& what) {
+    return Status::IoError(path + ":" + std::to_string(line_number) + ": " +
+                           what);
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
+    const char* p = line.data();
+    const char* const end = p + line.size();
 
-    RankingId id = next_id;
-    std::string items_part = line;
-    const size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      try {
-        id = static_cast<RankingId>(std::stoul(line.substr(0, colon)));
-      } catch (...) {
-        return Status::IoError(path + ":" + std::to_string(line_number) +
-                               ": malformed id before ':'");
+    RankingId id = 0;
+    const char* colon =
+        static_cast<const char*>(std::memchr(p, ':', line.size()));
+    if (colon != nullptr) {
+      const char* id_begin = p;
+      const char* id_end = colon;
+      while (id_begin < id_end && IsBlank(*id_begin)) ++id_begin;
+      while (id_end > id_begin && IsBlank(id_end[-1])) --id_end;
+      if (!ParseU32(id_begin, id_end, &id)) {
+        return error("malformed id '" + std::string(id_begin, id_end) +
+                     "' before ':' (expected an integer in [0, 2^32))");
       }
-      items_part = line.substr(colon + 1);
+      p = colon + 1;
+    } else if (next_id > std::numeric_limits<RankingId>::max()) {
+      return error("no implicit id left after 4294967295");
+    } else {
+      id = static_cast<RankingId>(next_id);
     }
 
-    std::istringstream tokens(items_part);
     std::vector<ItemId> items;
-    long long value = 0;
-    while (tokens >> value) {
-      if (value < 0) {
-        return Status::IoError(path + ":" + std::to_string(line_number) +
-                               ": negative item id");
+    items.reserve(static_cast<size_t>(std::max(k, 0)));
+    while (true) {
+      while (p < end && IsBlank(*p)) ++p;
+      if (p == end) break;
+      const char* token = p;
+      while (p < end && !IsBlank(*p)) ++p;
+      ItemId item = 0;
+      if (!ParseU32(token, p, &item)) {
+        return error("malformed item '" + std::string(token, p) +
+                     "' (expected an integer in [0, 2^32))");
       }
-      items.push_back(static_cast<ItemId>(value));
+      items.push_back(item);
     }
     if (static_cast<int>(items.size()) != k) {
-      return Status::IoError(path + ":" + std::to_string(line_number) +
-                             ": expected " + std::to_string(k) +
-                             " items, found " + std::to_string(items.size()));
+      return error("expected " + std::to_string(k) + " items, found " +
+                   std::to_string(items.size()));
     }
     Ranking ranking(id, std::move(items));
-    if (!ranking.IsValid()) {
-      return Status::IoError(path + ":" + std::to_string(line_number) +
-                             ": duplicate item in ranking");
-    }
+    if (!ranking.IsValid()) return error("duplicate item in ranking");
     dataset.rankings.push_back(std::move(ranking));
-    next_id = std::max(next_id, id) + 1;
+    next_id = std::max<uint64_t>(next_id, id) + 1;
   }
   return dataset;
 }

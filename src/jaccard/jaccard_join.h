@@ -4,13 +4,13 @@
 #include "common/status.h"
 #include "join/stats.h"
 #include "minispark/context.h"
-#include "ranking/flat_rankings.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
 /// Options for the Jaccard-distance set similarity joins (the paper's
-/// Section 8 outlook, built on the same minispark pipelines).
+/// Section 8 outlook). The joins are the VJ and CL pipelines of join/
+/// instantiated with JaccardPolicy (join/distance_policy.h).
 ///
 /// The input RankingDataset is interpreted as a collection of size-k
 /// sets; item positions are ignored.
@@ -30,9 +30,6 @@ struct JaccardJoinOptions {
   /// Expansion: emit pairs whose triangle upper bound already
   /// qualifies without computing their distance.
   bool triangle_upper_shortcut = true;
-  /// Ranking representation the ordering phase parallelizes over (see
-  /// VjOptions::store).
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Exact O(n^2) Jaccard reference join (ground truth for tests).

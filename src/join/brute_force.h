@@ -13,6 +13,13 @@ namespace rankjoin {
 /// `theta` is the normalized threshold in [0, 1].
 JoinResult BruteForceJoin(const RankingDataset& dataset, double theta);
 
+namespace internal {
+/// The brute-force join under distance policy `P` (distance_policy.h);
+/// BruteForceJoin is the FootrulePolicy instance.
+template <typename P>
+JoinResult BruteForcePipeline(const RankingDataset& dataset, double theta);
+}  // namespace internal
+
 }  // namespace rankjoin
 
 #endif  // RANKJOIN_JOIN_BRUTE_FORCE_H_

@@ -1,6 +1,7 @@
 #include "join/cluster.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,77 +16,42 @@
 namespace rankjoin {
 namespace {
 
-/// Pair threshold under Lemma 5.3, selected by the singleton flags.
-struct MixedThresholds {
-  uint32_t mm = 0;  // both non-singleton: theta + 2*theta_c
-  uint32_t ms = 0;  // mixed: theta + theta_c
-  uint32_t ss = 0;  // both singleton: theta
-
-  uint32_t For(const PrefixPosting& a, const PrefixPosting& b) const {
-    if (a.singleton && b.singleton) return ss;
-    if (a.singleton || b.singleton) return ms;
-    return mm;
-  }
-};
-
-/// Nested-loop kernel with per-pair thresholds (Algorithm 1's
-/// compute_sim): candidates share the group's key item; the position
-/// filter and the verification bound use the pair's own threshold.
-void MixedNestedLoop(const std::vector<PrefixPosting>& group,
-                     const MixedThresholds& thresholds, bool position_filter,
-                     std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const PrefixPosting& a = group[i];
-    for (size_t j = i + 1; j < n; ++j) {
-      const PrefixPosting& b = group[j];
-      if (a.id == b.id) continue;
-      const uint32_t theta = thresholds.For(a, b);
-      ++stats->candidates;
-      if (position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, theta, stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
+/// Records the cluster shape in `stats` and publishes it under `scope`.
+/// Paper Section 5 / Table 3: cluster count and membership-size shape
+/// are the knobs that decide whether the centroid join pays off.
+template <typename Distance>
+void RecordClusterShape(minispark::Context* ctx, const std::string& scope,
+                        const BasicClustering<Distance>& clustering,
+                        JoinStats* stats) {
+  stats->clusters = clustering.centroids.size();
+  stats->singletons = clustering.singletons.size();
+  stats->cluster_members = clustering.pairs.size();
+  minispark::CounterRegistry& registry = ctx->counters();
+  registry.Add(scope + ".clusters", stats->clusters);
+  registry.Add(scope + ".singletons", stats->singletons);
+  registry.Add(scope + ".members", stats->cluster_members);
+  uint64_t max_cluster = 0;
+  if (registry.enabled()) {
+    std::unordered_map<RankingId, uint64_t> sizes;
+    for (const auto& cp : clustering.pairs) ++sizes[cp.centroid];
+    for (const auto& [centroid, size] : sizes) {
+      max_cluster = std::max(max_cluster, size + 1);  // + the centroid
     }
   }
-}
-
-/// R-S variant of MixedNestedLoop for repartitioned posting lists.
-void MixedNestedLoopRS(const std::vector<PrefixPosting>& left,
-                       const std::vector<PrefixPosting>& right,
-                       const MixedThresholds& thresholds,
-                       bool position_filter, std::vector<ScoredPair>* out,
-                       JoinStats* stats) {
-  for (const PrefixPosting& a : left) {
-    for (const PrefixPosting& b : right) {
-      if (a.id == b.id) continue;
-      const uint32_t theta = thresholds.For(a, b);
-      ++stats->candidates;
-      if (position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, theta, stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
+  registry.Add(scope + ".max_cluster_size", max_cluster);
 }
 
 }  // namespace
 
-Clustering RunClusteringPhase(minispark::Context* ctx,
-                              const std::vector<const OrderedRanking*>& all,
-                              const internal::SelfJoinSpec& spec,
-                              JoinStats* stats) {
-  Clustering clustering;
+template <typename P>
+BasicClustering<typename P::Distance> RunClusteringPhase(
+    minispark::Context* ctx, const std::vector<const OrderedRanking*>& all,
+    const internal::BasicSelfJoinSpec<typename P::Distance>& spec,
+    JoinStats* stats) {
+  using Distance = typename P::Distance;
+  BasicClustering<Distance> clustering;
   std::vector<ScoredPair> scored =
-      internal::DistributedSelfJoin(ctx, all, spec, stats);
+      internal::DistributedSelfJoin<P>(ctx, all, spec, stats);
 
   // Cluster formation (Fig. 3): the smaller id of each qualifying pair
   // is the centroid, the larger one its member.
@@ -95,7 +61,8 @@ Clustering RunClusteringPhase(minispark::Context* ctx,
   for (const ScoredPair& sp : scored) {
     const RankingId centroid = sp.first.first;
     const RankingId member = sp.first.second;
-    clustering.pairs.push_back(ClusterPair{centroid, member, sp.second});
+    clustering.pairs.push_back(BasicClusterPair<Distance>{
+        centroid, member, P::FromScore(sp.second, spec.k)});
     centroid_ids.insert(centroid);
     in_any_pair.insert(centroid);
     in_any_pair.insert(member);
@@ -110,26 +77,9 @@ Clustering RunClusteringPhase(minispark::Context* ctx,
     }
   }
 
-  stats->clusters = clustering.centroids.size();
-  stats->singletons = clustering.singletons.size();
-  stats->cluster_members = clustering.pairs.size();
-  // Paper Section 5 / Table 3: cluster count and membership-size shape
-  // are the knobs that decide whether the centroid join pays off.
   // (DistributedSelfJoin already published the theta_c join's
   // candidate/prune counters under spec.counter_scope.)
-  minispark::CounterRegistry& registry = ctx->counters();
-  registry.Add("cl.clustering.clusters", stats->clusters);
-  registry.Add("cl.clustering.singletons", stats->singletons);
-  registry.Add("cl.clustering.members", stats->cluster_members);
-  uint64_t max_cluster = 0;
-  if (registry.enabled()) {
-    std::unordered_map<RankingId, uint64_t> sizes;
-    for (const ClusterPair& cp : clustering.pairs) ++sizes[cp.centroid];
-    for (const auto& [centroid, size] : sizes) {
-      max_cluster = std::max(max_cluster, size + 1);  // + the centroid
-    }
-  }
-  registry.Add("cl.clustering.max_cluster_size", max_cluster);
+  RecordClusterShape(ctx, spec.counter_scope, clustering, stats);
   return clustering;
 }
 
@@ -221,39 +171,26 @@ Clustering RunRandomCentroidClustering(
     }
   }
 
-  stats->clusters = clustering.centroids.size();
-  stats->singletons = clustering.singletons.size();
-  stats->cluster_members = clustering.pairs.size();
-  minispark::CounterRegistry& registry = ctx->counters();
-  registry.Add("cl.clustering.clusters", stats->clusters);
-  registry.Add("cl.clustering.singletons", stats->singletons);
-  registry.Add("cl.clustering.members", stats->cluster_members);
+  RecordClusterShape(ctx, "cl.clustering", clustering, stats);
   return clustering;
 }
 
-std::vector<CentroidPair> RunCentroidJoin(
+template <typename P>
+std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
     minispark::Context* ctx, const RankingTable& table,
     const std::vector<RankingId>& centroids,
-    const std::vector<RankingId>& singletons, const CentroidJoinSpec& spec,
+    const std::vector<RankingId>& singletons,
+    const BasicCentroidJoinSpec<typename P::Distance>& spec,
     JoinStats* stats) {
-  MixedThresholds thresholds;
-  thresholds.mm = spec.raw_theta + 2 * spec.raw_theta_c;
-  if (spec.singleton_optimization) {
-    thresholds.ms = spec.raw_theta + spec.raw_theta_c;
-    thresholds.ss = spec.raw_theta;
-  } else {
-    // Plain Lemma 5.1: one enlarged threshold for every centroid pair.
-    thresholds.ms = thresholds.mm;
-    thresholds.ss = thresholds.mm;
-  }
-
-  const int prefix_m = OverlapPrefix(thresholds.mm, spec.k);
+  using Distance = typename P::Distance;
+  const auto thresholds = MixedThresholds<Distance>::Enlarged(
+      spec.raw_theta, spec.raw_theta_c, spec.singleton_optimization);
+  const int prefix_m = P::Prefix(thresholds.mm, spec.k, PrefixMode::kOverlap);
   // Completeness requires the singleton prefix to cover the (m, s) pair
-  // threshold (see cluster.h); with the optimization off all prefixes
-  // are the same.
-  const int prefix_s =
-      spec.singleton_optimization ? OverlapPrefix(thresholds.ms, spec.k)
-                                  : prefix_m;
+  // threshold (see cluster.h); with the optimization off ms == mm and
+  // all prefixes are the same.
+  const int prefix_s = P::Prefix(thresholds.ms, spec.k, PrefixMode::kOverlap);
+  const std::string& names = spec.stage_prefix;
 
   // Emit prefix postings for both centroid classes, tagged with their
   // type, then group by item (Algorithm 1's transform_and_emit).
@@ -271,34 +208,25 @@ std::vector<CentroidPair> RunCentroidJoin(
   const RankingTable* table_ptr = &table;
   auto postings = centroid_ds.FlatMap(
       [table_ptr, prefix_m, prefix_s](const Tagged& t) {
-        const OrderedRanking& r = table_ptr->Get(t.id);
-        const size_t p = static_cast<size_t>(
-            std::min<int>(t.singleton ? prefix_s : prefix_m,
-                          static_cast<int>(r.canonical.size())));
-        std::vector<std::pair<ItemId, PrefixPosting>> out;
-        out.reserve(p);
-        for (size_t i = 0; i < p; ++i) {
-          const ItemEntry& e = r.canonical[i];
-          out.push_back(
-              {e.item, PrefixPosting{r.id, e.rank, t.singleton, &r}});
-        }
-        return out;
+        return internal::EmitPrefix(table_ptr->Get(t.id),
+                                    t.singleton ? prefix_s : prefix_m,
+                                    PrefixMode::kOverlap, t.singleton);
       },
-      "centroidJoin/prefix");
+      names + "centroidJoin/prefix");
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
-      postings, spec.num_partitions, "centroidJoin/groupByItem");
+      postings, spec.num_partitions, names + "centroidJoin/groupByItem");
 
   const bool position_filter = spec.position_filter;
   LocalJoinFn local_join = [thresholds, position_filter](
                                const std::vector<PrefixPosting>& group,
                                std::vector<ScoredPair>* out, JoinStats* s) {
-    MixedNestedLoop(group, thresholds, position_filter, out, s);
+    NestedLoopJoin<P>(group, thresholds, position_filter, out, s);
   };
   LocalRsJoinFn rs_join = [thresholds, position_filter](
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
-    MixedNestedLoopRS(left, right, thresholds, position_filter, out, s);
+    NestedLoopJoinRS<P>(left, right, thresholds, position_filter, out, s);
   };
 
   // Phase-local stats, published under the centroid join's own scope:
@@ -310,24 +238,38 @@ std::vector<CentroidPair> RunCentroidJoin(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);
   minispark::Dataset<ScoredPair> unique = minispark::Distinct(
-      raw_pairs, spec.num_partitions, "centroidJoin/distinct");
+      raw_pairs, spec.num_partitions, names + "centroidJoin/distinct");
 
   std::unordered_set<RankingId> singleton_set(singletons.begin(),
                                               singletons.end());
-  std::vector<CentroidPair> result;
+  std::vector<BasicCentroidPair<Distance>> result;
   for (const ScoredPair& sp : unique.Collect()) {
-    CentroidPair cp;
+    BasicCentroidPair<Distance> cp;
     cp.ci = sp.first.first;
     cp.cj = sp.first.second;
-    cp.distance = sp.second;
+    cp.distance = P::FromScore(sp.second, spec.k);
     cp.ci_singleton = singleton_set.count(cp.ci) > 0;
     cp.cj_singleton = singleton_set.count(cp.cj) > 0;
     result.push_back(cp);
   }
-  phase_stats.PublishCounters(&ctx->counters(), "cl.centroidJoin");
-  ctx->counters().Add("cl.centroidJoin.pairs", result.size());
+  phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
+  ctx->counters().Add(spec.counter_scope + ".pairs", result.size());
   stats->MergeCounters(phase_stats);
   return result;
 }
+
+#define RANKJOIN_INSTANTIATE_CLUSTER(P)                                    \
+  template BasicClustering<P::Distance> RunClusteringPhase<P>(             \
+      minispark::Context*, const std::vector<const OrderedRanking*>&,      \
+      const internal::BasicSelfJoinSpec<P::Distance>&, JoinStats*);        \
+  template std::vector<BasicCentroidPair<P::Distance>> RunCentroidJoin<P>( \
+      minispark::Context*, const RankingTable&,                            \
+      const std::vector<RankingId>&, const std::vector<RankingId>&,        \
+      const BasicCentroidJoinSpec<P::Distance>&, JoinStats*);
+
+RANKJOIN_INSTANTIATE_CLUSTER(FootrulePolicy)
+RANKJOIN_INSTANTIATE_CLUSTER(JaccardPolicy)
+
+#undef RANKJOIN_INSTANTIATE_CLUSTER
 
 }  // namespace rankjoin

@@ -2,8 +2,10 @@
 #define RANKJOIN_JOIN_CLUSTER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "join/distance_policy.h"
 #include "join/stats.h"
 #include "join/verify.h"
 #include "join/vj.h"
@@ -14,19 +16,24 @@ namespace rankjoin {
 
 /// One clustering-phase result tuple: `member` belongs to the cluster
 /// represented by `centroid` (the smaller id of the qualifying pair),
-/// at the given raw Footrule distance <= raw_theta_c.
-struct ClusterPair {
+/// at the given distance <= theta_c. `Distance` is the distance
+/// policy's type (distance_policy.h): raw Footrule or Jaccard.
+template <typename Distance>
+struct BasicClusterPair {
   RankingId centroid = 0;
   RankingId member = 0;
-  uint32_t distance = 0;
+  Distance distance{};
 };
+
+using ClusterPair = BasicClusterPair<uint32_t>;
 
 /// Output of the clustering phase (paper Section 5.1). Clusters may
 /// overlap; a ranking can be a member of several clusters and a centroid
 /// of its own at the same time.
-struct Clustering {
+template <typename Distance>
+struct BasicClustering {
   /// All (centroid, member, distance) tuples.
-  std::vector<ClusterPair> pairs;
+  std::vector<BasicClusterPair<Distance>> pairs;
   /// Distinct centroids of clusters with >= 2 elements (the set C_m).
   std::vector<RankingId> centroids;
   /// Rankings that appear in no theta_c pair at all (the set C_s of
@@ -34,14 +41,19 @@ struct Clustering {
   std::vector<RankingId> singletons;
 };
 
+using Clustering = BasicClustering<uint32_t>;
+
 /// Runs the clustering phase: a distributed self-join of the whole
 /// dataset with the clustering threshold (spec.raw_theta = raw theta_c),
 /// followed by cluster formation (smaller id of each pair becomes the
-/// centroid). Join work counters accumulate into `stats`.
-Clustering RunClusteringPhase(minispark::Context* ctx,
-                              const std::vector<const OrderedRanking*>& all,
-                              const internal::SelfJoinSpec& spec,
-                              JoinStats* stats);
+/// centroid), under distance policy `P`. Join work counters accumulate
+/// into `stats`; the cluster-shape counters are published under
+/// "<spec.counter_scope>.clusters" etc.
+template <typename P = FootrulePolicy>
+BasicClustering<typename P::Distance> RunClusteringPhase(
+    minispark::Context* ctx, const std::vector<const OrderedRanking*>& all,
+    const internal::BasicSelfJoinSpec<typename P::Distance>& spec,
+    JoinStats* stats);
 
 /// The alternative clustering the paper argues against (Section 5.1,
 /// following [22, 27]): `num_centroids` rankings are picked at random as
@@ -59,20 +71,24 @@ Clustering RunRandomCentroidClustering(
 
 /// One joining-phase result: a qualifying centroid pair with its
 /// distance and the singleton markers needed by the expansion.
-struct CentroidPair {
+template <typename Distance>
+struct BasicCentroidPair {
   RankingId ci = 0;  // smaller id
   RankingId cj = 0;
-  uint32_t distance = 0;
+  Distance distance{};
   bool ci_singleton = false;
   bool cj_singleton = false;
 };
 
+using CentroidPair = BasicCentroidPair<uint32_t>;
+
 /// Configuration of the joining phase over centroids.
-struct CentroidJoinSpec {
-  /// Raw join threshold (theta).
-  uint32_t raw_theta = 0;
-  /// Raw clustering threshold (theta_c).
-  uint32_t raw_theta_c = 0;
+template <typename Distance>
+struct BasicCentroidJoinSpec {
+  /// Join threshold (theta) in the policy's distance type.
+  Distance raw_theta{};
+  /// Clustering threshold (theta_c) in the policy's distance type.
+  Distance raw_theta_c{};
   int k = 0;
   int num_partitions = 1;
   bool position_filter = true;
@@ -85,7 +101,13 @@ struct CentroidJoinSpec {
   /// Engage repartitioning only when measured skew demands it (see
   /// ClOptions::adaptive_repartition).
   bool adaptive_repartition = false;
+  /// Counter namespace of the phase's filter counters.
+  std::string counter_scope = "cl.centroidJoin";
+  /// Prepended to every stage name (see BasicSelfJoinSpec).
+  std::string stage_prefix;
 };
+
+using CentroidJoinSpec = BasicCentroidJoinSpec<uint32_t>;
 
 /// Joining phase (paper Section 5.2, Algorithm 1): joins the centroid
 /// set C = C_m (prefix for theta + 2*theta_c) union C_s (shorter
@@ -100,10 +122,12 @@ struct CentroidJoinSpec {
 /// Prefix filtering only guarantees a shared prefix token when BOTH
 /// prefixes cover the pair's threshold; with get_prefix(theta) an (m, s)
 /// pair at distance in (theta, theta + theta_c] can be missed.
-std::vector<CentroidPair> RunCentroidJoin(
+template <typename P = FootrulePolicy>
+std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
     minispark::Context* ctx, const RankingTable& table,
     const std::vector<RankingId>& centroids,
-    const std::vector<RankingId>& singletons, const CentroidJoinSpec& spec,
+    const std::vector<RankingId>& singletons,
+    const BasicCentroidJoinSpec<typename P::Distance>& spec,
     JoinStats* stats);
 
 }  // namespace rankjoin

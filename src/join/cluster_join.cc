@@ -1,7 +1,11 @@
 #include "join/cluster_join.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,14 +48,16 @@ Status ValidateClOptions(const ClOptions& options, int k) {
 
 namespace {
 
-/// (member id, raw distance to its centroid) — the value type of the
+/// (member id, distance to its centroid) — the value type of the
 /// cluster dataset keyed by centroid.
-using MemberRec = std::pair<RankingId, uint32_t>;
+template <typename Distance>
+using MemberRec = std::pair<RankingId, Distance>;
 
 /// Shared context for the expansion kernels.
+template <typename P>
 struct ExpansionContext {
   const RankingTable* table = nullptr;
-  uint32_t raw_theta = 0;
+  typename P::Distance theta{};
   bool upper_shortcut = true;
 };
 
@@ -59,23 +65,22 @@ struct ExpansionContext {
 /// the metric filters of Section 5.3: prune when the triangle lower
 /// bound exceeds theta, emit unverified when the upper bound already
 /// qualifies, verify otherwise.
-void EmitWithTriangleBounds(const ExpansionContext& ectx, RankingId a,
-                            RankingId b, int64_t lower_bound,
-                            int64_t upper_bound,
+template <typename P>
+void EmitWithTriangleBounds(const ExpansionContext<P>& ectx, RankingId a,
+                            RankingId b, typename P::Bound lower_bound,
+                            typename P::Bound upper_bound,
                             std::vector<ResultPair>* out, JoinStats* stats) {
   if (a == b) return;
-  if (lower_bound > static_cast<int64_t>(ectx.raw_theta)) {
+  if (P::Exceeds(lower_bound, ectx.theta)) {
     ++stats->triangle_filtered;
     return;
   }
-  if (ectx.upper_shortcut &&
-      upper_bound <= static_cast<int64_t>(ectx.raw_theta)) {
+  if (ectx.upper_shortcut && P::Guaranteed(upper_bound, ectx.theta)) {
     ++stats->emitted_unverified;
     out->push_back(MakeResultPair(a, b));
     return;
   }
-  if (VerifyPair(ectx.table->Get(a), ectx.table->Get(b), ectx.raw_theta,
-                 stats)
+  if (P::Verify(ectx.table->Get(a), ectx.table->Get(b), ectx.theta, stats)
           .has_value()) {
     out->push_back(MakeResultPair(a, b));
   }
@@ -94,21 +99,22 @@ void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
 /// recovered through the joining phase — the member's retained centroid
 /// is within 2*theta_c of the dropped one, so their centroid pair is in
 /// R_j and the member-centroid candidate reappears in the expansion.
-void ResolveOverlaps(Clustering* clustering) {
+template <typename Distance>
+void ResolveOverlaps(BasicClustering<Distance>* clustering) {
   std::unordered_map<RankingId, size_t> best;
   best.reserve(clustering->pairs.size());
   for (size_t idx = 0; idx < clustering->pairs.size(); ++idx) {
-    const ClusterPair& cp = clustering->pairs[idx];
+    const auto& cp = clustering->pairs[idx];
     auto [it, inserted] = best.try_emplace(cp.member, idx);
     if (inserted) continue;
-    const ClusterPair& incumbent = clustering->pairs[it->second];
+    const auto& incumbent = clustering->pairs[it->second];
     if (cp.distance < incumbent.distance ||
         (cp.distance == incumbent.distance &&
          cp.centroid < incumbent.centroid)) {
       it->second = idx;
     }
   }
-  std::vector<ClusterPair> kept;
+  std::vector<BasicClusterPair<Distance>> kept;
   kept.reserve(best.size());
   for (size_t idx = 0; idx < clustering->pairs.size(); ++idx) {
     auto it = best.find(clustering->pairs[idx].member);
@@ -122,86 +128,92 @@ void ResolveOverlaps(Clustering* clustering) {
 /// Expansion phase (paper Section 5.3 / Algorithm 2): combines the
 /// joining-phase centroid pairs R_j with the clustering-phase tuples R_c
 /// to produce the final result set.
-std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
-                                     const RankingTable& table,
-                                     const Clustering& clustering,
-                                     const std::vector<CentroidPair>& rj,
-                                     uint32_t raw_theta, int num_partitions,
-                                     bool upper_shortcut, JoinStats* stats) {
-  ExpansionContext ectx{&table, raw_theta, upper_shortcut};
+template <typename P>
+std::vector<ResultPair> RunExpansion(
+    minispark::Context* ctx, const RankingTable& table,
+    const BasicClustering<typename P::Distance>& clustering,
+    const std::vector<BasicCentroidPair<typename P::Distance>>& rj,
+    typename P::Distance theta, int num_partitions, bool upper_shortcut,
+    const std::string& counter_scope, const std::string& names,
+    JoinStats* stats) {
+  using Distance = typename P::Distance;
+  using Bound = typename P::Bound;
+  using Member = MemberRec<Distance>;
+  using CPair = BasicCentroidPair<Distance>;
+  const ExpansionContext<P> ectx{&table, theta, upper_shortcut};
   // All expansion kernels below tally into this phase-local accumulator
-  // (via per-partition slot vectors merged after each Cache() barrier);
+  // (via per-partition slot vectors merged after each Force() barrier);
   // it is merged into the caller's stats AND published to the counter
-  // registry under "cl.expansion" at the end, so traces show the
+  // registry under "<scope>.expansion" at the end, so traces show the
   // triangle-inequality prune/shortcut effectiveness of Section 5.3 in
   // isolation.
   JoinStats expansion_stats;
 
   // R_c keyed by centroid.
-  std::vector<std::pair<RankingId, MemberRec>> cluster_kv;
+  std::vector<std::pair<RankingId, Member>> cluster_kv;
   cluster_kv.reserve(clustering.pairs.size());
-  for (const ClusterPair& cp : clustering.pairs) {
+  for (const auto& cp : clustering.pairs) {
     cluster_kv.push_back({cp.centroid, {cp.member, cp.distance}});
   }
   // The cluster-membership dataset is consumed by three wide operations
   // below (groupClusters and both membership joins) — pin it so it
   // materializes exactly once.
-  minispark::Dataset<std::pair<RankingId, MemberRec>> clusters =
+  minispark::Dataset<std::pair<RankingId, Member>> clusters =
       minispark::Parallelize(ctx, std::move(cluster_kv), num_partitions);
   clusters.Cache();
 
-  minispark::Dataset<CentroidPair> rj_ds =
+  minispark::Dataset<CPair> rj_ds =
       minispark::Parallelize(ctx, rj, num_partitions);
 
   // Direct results: R_s (both singleton, emitted as-is — their join
   // threshold was theta) plus every centroid pair within theta.
   minispark::Dataset<ResultPair> direct = rj_ds.FlatMap(
-      [raw_theta](const CentroidPair& cp) {
+      [theta](const CPair& cp) {
         std::vector<ResultPair> out;
-        if (cp.distance <= raw_theta) {
+        if (P::Within(cp.distance, theta)) {
           out.push_back(MakeResultPair(cp.ci, cp.cj));
         }
         return out;
       },
-      "expand/direct");
+      names + "expand/direct");
 
   // Intra-cluster results: (centroid, member) pairs qualify outright
   // (distance <= theta_c <= theta); member-member pairs are within
   // 2*theta_c by the triangle inequality and are emitted unverified when
   // the known distance sum already proves qualification.
-  minispark::Dataset<std::pair<RankingId, std::vector<MemberRec>>>
-      grouped_clusters = minispark::GroupByKey(clusters, num_partitions,
-                                               "expand/groupClusters");
+  minispark::Dataset<std::pair<RankingId, std::vector<Member>>>
+      grouped_clusters = minispark::GroupByKey(
+          clusters, num_partitions, names + "expand/groupClusters");
   std::vector<JoinStats> intra_slots(
       static_cast<size_t>(grouped_clusters.num_partitions()));
   minispark::Dataset<ResultPair> intra =
       grouped_clusters.MapPartitionsWithIndex(
           [ectx, &intra_slots](
               int index,
-              const std::vector<std::pair<RankingId, std::vector<MemberRec>>>&
+              const std::vector<std::pair<RankingId, std::vector<Member>>>&
                   part) {
             std::vector<ResultPair> out;
             JoinStats& local = intra_slots[static_cast<size_t>(index)];
             // Retry hygiene: a re-run attempt starts its stat slot from zero.
             local = JoinStats();
             for (const auto& [centroid, members] : part) {
-              for (const MemberRec& m : members) {
+              for (const Member& m : members) {
                 out.push_back(MakeResultPair(centroid, m.first));
               }
               for (size_t i = 0; i + 1 < members.size(); ++i) {
                 for (size_t j = i + 1; j < members.size(); ++j) {
-                  const int64_t sum =
-                      static_cast<int64_t>(members[i].second) +
-                      members[j].second;
+                  const Bound sum = static_cast<Bound>(members[i].second) +
+                                    static_cast<Bound>(members[j].second);
                   EmitWithTriangleBounds(ectx, members[i].first,
-                                         members[j].first, /*lower_bound=*/0,
-                                         sum, &out, &local);
+                                         members[j].first,
+                                         /*lower_bound=*/Bound{0}, sum, &out,
+                                         &local);
                 }
               }
             }
             return out;
           },
-          "expand/intraCluster");
+          names + "expand/intraCluster");
   // Stat slots are filled when the chain runs — force it first.
   // Force(), not Cache(): single downstream consumer (MS007).
   intra.Force();
@@ -209,176 +221,152 @@ std::vector<ResultPair> RunExpansion(minispark::Context* ctx,
 
   // R_m: centroid pairs with at least one non-singleton side need to be
   // joined with the clusters (Algorithm 2 lines 3-8).
-  minispark::Dataset<CentroidPair> rm = rj_ds.Filter(
-      [](const CentroidPair& cp) {
-        return !(cp.ci_singleton && cp.cj_singleton);
-      },
-      "expand/filterRm");
+  minispark::Dataset<CPair> rm = rj_ds.Filter(
+      [](const CPair& cp) { return !(cp.ci_singleton && cp.cj_singleton); },
+      names + "expand/filterRm");
   // R_m feeds both directional re-keyings — materialize the filter once.
   rm.Cache();
 
-  minispark::Dataset<std::pair<RankingId, CentroidPair>> rm_by_ci = rm.Map(
-      [](const CentroidPair& cp) {
-        return std::pair<RankingId, CentroidPair>(cp.ci, cp);
-      },
-      "expand/keyByCi");
-  minispark::Dataset<std::pair<RankingId, CentroidPair>> rm_by_cj = rm.Map(
-      [](const CentroidPair& cp) {
-        return std::pair<RankingId, CentroidPair>(cp.cj, cp);
-      },
-      "expand/keyByCj");
+  minispark::Dataset<std::pair<RankingId, CPair>> rm_by_ci = rm.Map(
+      [](const CPair& cp) { return std::pair<RankingId, CPair>(cp.ci, cp); },
+      names + "expand/keyByCi");
+  minispark::Dataset<std::pair<RankingId, CPair>> rm_by_cj = rm.Map(
+      [](const CPair& cp) { return std::pair<RankingId, CPair>(cp.cj, cp); },
+      names + "expand/keyByCj");
+
+  // One membership direction of R_m,c: members of one centroid against
+  // the OTHER centroid of the pair, bounded by |d(ci,cj) - d(c,m)| and
+  // d(ci,cj) + d(c,m). `slots` outlives the stage (it lives in this
+  // frame), like every other stat-slot vector here.
+  using Joined = std::pair<RankingId, std::pair<CPair, Member>>;
+  auto expand_members = [&](const minispark::Dataset<Joined>& joined,
+                            bool against_cj, const std::string& name,
+                            std::vector<JoinStats>* slots) {
+    slots->resize(static_cast<size_t>(joined.num_partitions()));
+    minispark::Dataset<ResultPair> result = joined.MapPartitionsWithIndex(
+        [ectx, against_cj, slots](int index, const std::vector<Joined>& part) {
+          std::vector<ResultPair> out;
+          JoinStats& local = (*slots)[static_cast<size_t>(index)];
+          // Retry hygiene: a re-run attempt starts its stat slot from zero.
+          local = JoinStats();
+          for (const auto& [centroid, rec] : part) {
+            const CPair& cp = rec.first;
+            const Member& m = rec.second;
+            const Bound dij = static_cast<Bound>(cp.distance);
+            const Bound dm = static_cast<Bound>(m.second);
+            EmitWithTriangleBounds(ectx, m.first, against_cj ? cp.cj : cp.ci,
+                                   std::abs(dij - dm), dij + dm, &out,
+                                   &local);
+          }
+          return out;
+        },
+        name);
+    // Force (not Cache) before reading the stat slots: single consumer.
+    result.Force();
+    MergeSlots(*slots, &expansion_stats);
+    return result;
+  };
+  std::vector<JoinStats> j1_slots;
+  std::vector<JoinStats> j2_slots;
 
   // Members of ci against cj (R_m,c, first direction).
   auto j1 = minispark::Join(rm_by_ci, clusters, num_partitions,
-                            "expand/joinMembersCi");
-  std::vector<JoinStats> j1_slots(static_cast<size_t>(j1.num_partitions()));
-  minispark::Dataset<ResultPair> rm_c1 = j1.MapPartitionsWithIndex(
-      [ectx, &j1_slots](
-          int index,
-          const std::vector<
-              std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>&
-              part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = j1_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const auto& [ci, rec] : part) {
-          const CentroidPair& cp = rec.first;
-          const MemberRec& m = rec.second;
-          const int64_t dij = cp.distance;
-          const int64_t dmi = m.second;
-          EmitWithTriangleBounds(ectx, m.first, cp.cj,
-                                 std::abs(dij - dmi), dij + dmi, &out,
-                                 &local);
-        }
-        return out;
-      },
-      "expand/membersCi");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_c1.Force();
-  MergeSlots(j1_slots, &expansion_stats);
+                            names + "expand/joinMembersCi");
+  minispark::Dataset<ResultPair> rm_c1 =
+      expand_members(j1, /*against_cj=*/true, names + "expand/membersCi",
+                     &j1_slots);
 
   // Members of cj against ci (R_m,c, second direction — the "switched
   // centroids" join of Example 5.4).
   auto j2 = minispark::Join(rm_by_cj, clusters, num_partitions,
-                            "expand/joinMembersCj");
-  std::vector<JoinStats> j2_slots(static_cast<size_t>(j2.num_partitions()));
-  minispark::Dataset<ResultPair> rm_c2 = j2.MapPartitionsWithIndex(
-      [ectx, &j2_slots](
-          int index,
-          const std::vector<
-              std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>&
-              part) {
-        std::vector<ResultPair> out;
-        JoinStats& local = j2_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
-        for (const auto& [cj, rec] : part) {
-          const CentroidPair& cp = rec.first;
-          const MemberRec& m = rec.second;
-          const int64_t dij = cp.distance;
-          const int64_t dmj = m.second;
-          EmitWithTriangleBounds(ectx, m.first, cp.ci,
-                                 std::abs(dij - dmj), dij + dmj, &out,
-                                 &local);
-        }
-        return out;
-      },
-      "expand/membersCj");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_c2.Force();
-  MergeSlots(j2_slots, &expansion_stats);
+                            names + "expand/joinMembersCj");
+  minispark::Dataset<ResultPair> rm_c2 =
+      expand_members(j2, /*against_cj=*/false, names + "expand/membersCj",
+                     &j2_slots);
 
   // Members of ci against members of cj (R_m,m): re-key the first join
   // by the second centroid and join with the clusters again.
-  minispark::Dataset<std::pair<RankingId, std::pair<CentroidPair, MemberRec>>>
-      j1_by_cj = j1.Map(
-          [](const std::pair<RankingId,
-                             std::pair<CentroidPair, MemberRec>>& rec) {
-            return std::pair<RankingId, std::pair<CentroidPair, MemberRec>>(
-                rec.second.first.cj, rec.second);
-          },
-          "expand/rekeyByCj");
+  minispark::Dataset<Joined> j1_by_cj = j1.Map(
+      [](const Joined& rec) {
+        return Joined(rec.second.first.cj, rec.second);
+      },
+      names + "expand/rekeyByCj");
   auto jmm = minispark::Join(j1_by_cj, clusters, num_partitions,
-                             "expand/joinMembersBoth");
+                             names + "expand/joinMembersBoth");
   std::vector<JoinStats> jmm_slots(
       static_cast<size_t>(jmm.num_partitions()));
   minispark::Dataset<ResultPair> rm_m = jmm.MapPartitionsWithIndex(
       [ectx, &jmm_slots](
           int index,
           const std::vector<std::pair<
-              RankingId, std::pair<std::pair<CentroidPair, MemberRec>,
-                                   MemberRec>>>& part) {
+              RankingId, std::pair<std::pair<CPair, Member>, Member>>>&
+              part) {
         std::vector<ResultPair> out;
         JoinStats& local = jmm_slots[static_cast<size_t>(index)];
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
         for (const auto& [cj, rec] : part) {
-          const CentroidPair& cp = rec.first.first;
-          const MemberRec& mi = rec.first.second;  // member of ci
-          const MemberRec& mj = rec.second;        // member of cj
-          const int64_t dij = cp.distance;
-          const int64_t lower = dij - static_cast<int64_t>(mi.second) -
-                                static_cast<int64_t>(mj.second);
-          const int64_t upper = dij + static_cast<int64_t>(mi.second) +
-                                static_cast<int64_t>(mj.second);
+          const CPair& cp = rec.first.first;
+          const Member& mi = rec.first.second;  // member of ci
+          const Member& mj = rec.second;        // member of cj
+          const Bound dij = static_cast<Bound>(cp.distance);
+          const Bound lower = dij - static_cast<Bound>(mi.second) -
+                              static_cast<Bound>(mj.second);
+          const Bound upper = dij + static_cast<Bound>(mi.second) +
+                              static_cast<Bound>(mj.second);
           EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
                                  &out, &local);
         }
         return out;
       },
-      "expand/membersBoth");
+      names + "expand/membersBoth");
   // Force (not Cache) before reading the stat slots: single consumer.
   rm_m.Force();
   MergeSlots(jmm_slots, &expansion_stats);
 
   // Union everything and remove duplicates (Algorithm 2 line 9).
   minispark::Dataset<ResultPair> all = minispark::Union(
-      minispark::Union(minispark::Union(direct, intra, "expand/u1"),
-                       minispark::Union(rm_c1, rm_c2, "expand/u2"),
-                       "expand/u3"),
-      rm_m, "expand/u4");
+      minispark::Union(
+          minispark::Union(direct, intra, names + "expand/u1"),
+          minispark::Union(rm_c1, rm_c2, names + "expand/u2"),
+          names + "expand/u3"),
+      rm_m, names + "expand/u4");
   std::vector<ResultPair> collected =
-      minispark::Distinct(all, num_partitions, "expand/distinct").Collect();
-  expansion_stats.PublishCounters(&ctx->counters(), "cl.expansion");
-  ctx->counters().Add("cl.expansion.result_pairs", collected.size());
+      minispark::Distinct(all, num_partitions, names + "expand/distinct")
+          .Collect();
+  expansion_stats.PublishCounters(&ctx->counters(),
+                                  counter_scope + ".expansion");
+  ctx->counters().Add(counter_scope + ".expansion.result_pairs",
+                      collected.size());
   stats->MergeCounters(expansion_stats);
   return collected;
 }
 
 }  // namespace
 
-static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
-                                             const RankingDataset& dataset,
-                                             const ClOptions& options);
+namespace internal {
 
-Result<JoinResult> RunClusterJoin(minispark::Context* ctx,
-                                  const RankingDataset& dataset,
-                                  const ClOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
-      [&] { return RunClusterJoinImpl(ctx, dataset, options); });
-}
-
-static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
-                                             const RankingDataset& dataset,
-                                             const ClOptions& options) {
-  RANKJOIN_RETURN_NOT_OK(internal::ValidateClOptions(options, dataset.k));
+template <typename P>
+Result<JoinResult> RunClusterPipeline(minispark::Context* ctx,
+                                      const RankingDataset& dataset,
+                                      const ClOptions& options,
+                                      const std::string& counter_scope,
+                                      const std::string& stage_prefix) {
+  using Distance = typename P::Distance;
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());
   const int num_partitions = options.num_partitions > 0
                                  ? options.num_partitions
                                  : ctx->default_partitions();
-  const uint32_t raw_theta = RawThreshold(options.theta, dataset.k);
-  const uint32_t raw_theta_c = RawThreshold(options.theta_c, dataset.k);
+  const Distance theta = P::Threshold(options.theta, dataset.k);
+  const Distance theta_c = P::Threshold(options.theta_c, dataset.k);
 
   Stopwatch total;
   JoinResult result;
 
   // Phase 1: Ordering (once, reused by both joins — Section 5).
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
+  std::vector<OrderedRanking> ordered = OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   RankingTable table(ordered);
   std::vector<const OrderedRanking*> all;
   all.reserve(ordered.size());
@@ -387,43 +375,51 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
 
   // Phase 2: Clustering with theta_c.
   phase.Reset();
-  internal::SelfJoinSpec cluster_spec;
-  cluster_spec.raw_theta = raw_theta_c;
-  cluster_spec.k = dataset.k;
-  cluster_spec.num_partitions = num_partitions;
-  cluster_spec.position_filter = options.position_filter;
-  cluster_spec.prefix_mode = PrefixMode::kOverlap;
-  cluster_spec.local_algorithm = options.clustering_algorithm;
-  cluster_spec.counter_scope = "cl.clustering";
-  Clustering clustering;
-  if (options.clustering_strategy == ClusteringStrategy::kJoinBased) {
-    clustering = RunClusteringPhase(ctx, all, cluster_spec, &result.stats);
-  } else {
-    const int centroids =
-        options.random_centroids > 0
-            ? options.random_centroids
-            : std::max(1, static_cast<int>(all.size() / 10));
-    clustering = RunRandomCentroidClustering(ctx, all, centroids,
-                                             raw_theta_c,
-                                             options.random_centroid_seed,
-                                             &result.stats);
+  BasicClustering<Distance> clustering;
+  bool clustered = false;
+  if constexpr (std::is_same_v<P, FootrulePolicy>) {
+    if (options.clustering_strategy == ClusteringStrategy::kRandomCentroids) {
+      const int centroids =
+          options.random_centroids > 0
+              ? options.random_centroids
+              : std::max(1, static_cast<int>(all.size() / 10));
+      clustering = RunRandomCentroidClustering(
+          ctx, all, centroids, theta_c, options.random_centroid_seed,
+          &result.stats);
+      clustered = true;
+    }
+  }
+  if (!clustered) {
+    BasicSelfJoinSpec<Distance> cluster_spec;
+    cluster_spec.raw_theta = theta_c;
+    cluster_spec.k = dataset.k;
+    cluster_spec.num_partitions = num_partitions;
+    cluster_spec.position_filter = options.position_filter;
+    cluster_spec.prefix_mode = PrefixMode::kOverlap;
+    cluster_spec.local_algorithm = options.clustering_algorithm;
+    cluster_spec.counter_scope = counter_scope + ".clustering";
+    cluster_spec.stage_prefix = stage_prefix;
+    clustering =
+        RunClusteringPhase<P>(ctx, all, cluster_spec, &result.stats);
   }
   result.stats.clustering_seconds = phase.ElapsedSeconds();
 
   // Phase 3: Joining the centroids (Algorithm 1).
   phase.Reset();
-  CentroidJoinSpec join_spec;
-  join_spec.raw_theta = raw_theta;
-  join_spec.raw_theta_c = raw_theta_c;
+  BasicCentroidJoinSpec<Distance> join_spec;
+  join_spec.raw_theta = theta;
+  join_spec.raw_theta_c = theta_c;
   join_spec.k = dataset.k;
   join_spec.num_partitions = num_partitions;
   join_spec.position_filter = options.position_filter;
   join_spec.singleton_optimization = options.singleton_optimization;
   join_spec.repartition_delta = options.repartition_delta;
   join_spec.adaptive_repartition = options.adaptive_repartition;
-  std::vector<CentroidPair> rj =
-      RunCentroidJoin(ctx, table, clustering.centroids, clustering.singletons,
-                      join_spec, &result.stats);
+  join_spec.counter_scope = counter_scope + ".centroidJoin";
+  join_spec.stage_prefix = stage_prefix;
+  std::vector<BasicCentroidPair<Distance>> rj =
+      RunCentroidJoin<P>(ctx, table, clustering.centroids,
+                         clustering.singletons, join_spec, &result.stats);
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
   // Phase 4: Expansion (Algorithm 2).
@@ -432,15 +428,37 @@ static Result<JoinResult> RunClusterJoinImpl(minispark::Context* ctx,
     ResolveOverlaps(&clustering);
     result.stats.cluster_members = clustering.pairs.size();
   }
-  result.pairs = RunExpansion(ctx, table, clustering, rj, raw_theta,
-                              num_partitions, options.triangle_upper_shortcut,
-                              &result.stats);
+  result.pairs = RunExpansion<P>(ctx, table, clustering, rj, theta,
+                                 num_partitions,
+                                 options.triangle_upper_shortcut,
+                                 counter_scope, stage_prefix, &result.stats);
   result.stats.expansion_seconds = phase.ElapsedSeconds();
 
   result.stats.result_pairs = result.pairs.size();
   result.stats.total_seconds = total.ElapsedSeconds();
-  ctx->counters().Add("cl.result_pairs", result.stats.result_pairs);
+  ctx->counters().Add(counter_scope + ".result_pairs",
+                      result.stats.result_pairs);
   return result;
+}
+
+template Result<JoinResult> RunClusterPipeline<FootrulePolicy>(
+    minispark::Context*, const RankingDataset&, const ClOptions&,
+    const std::string&, const std::string&);
+template Result<JoinResult> RunClusterPipeline<JaccardPolicy>(
+    minispark::Context*, const RankingDataset&, const ClOptions&,
+    const std::string&, const std::string&);
+
+}  // namespace internal
+
+Result<JoinResult> RunClusterJoin(minispark::Context* ctx,
+                                  const RankingDataset& dataset,
+                                  const ClOptions& options) {
+  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
+  return minispark::StopAware([&]() -> Result<JoinResult> {
+    RANKJOIN_RETURN_NOT_OK(internal::ValidateClOptions(options, dataset.k));
+    return internal::RunClusterPipeline<FootrulePolicy>(ctx, dataset,
+                                                        options, "cl", "");
+  });
 }
 
 }  // namespace rankjoin

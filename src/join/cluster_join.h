@@ -2,6 +2,7 @@
 #define RANKJOIN_JOIN_CLUSTER_JOIN_H_
 
 #include <cstdint>
+#include <string>
 
 #include "common/status.h"
 #include "join/stats.h"
@@ -68,9 +69,6 @@ struct ClOptions {
   int random_centroids = 0;
   /// kRandomCentroids only: RNG seed for the centroid draw.
   uint64_t random_centroid_seed = 1234;
-  /// Ranking representation the ordering phase parallelizes over (see
-  /// VjOptions::store).
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Runs the four-phase clustering join (Ordering, Clustering, Joining,
@@ -84,6 +82,18 @@ namespace internal {
 /// Validates CL parameter combinations (theta_c <= theta, enlarged
 /// threshold still below the disjoint-pair distance, ...).
 Status ValidateClOptions(const ClOptions& options, int k);
+
+/// The four CL phases under distance policy `P` (distance_policy.h).
+/// `options` must already be validated. Counters are published under
+/// `counter_scope` ("cl" for Footrule: "cl.clustering.*",
+/// "cl.centroidJoin.*", "cl.expansion.*", "cl.result_pairs"), and
+/// `stage_prefix` is prepended to every stage name ("" for Footrule).
+template <typename P>
+Result<JoinResult> RunClusterPipeline(minispark::Context* ctx,
+                                      const RankingDataset& dataset,
+                                      const ClOptions& options,
+                                      const std::string& counter_scope,
+                                      const std::string& stage_prefix);
 }  // namespace internal
 
 }  // namespace rankjoin

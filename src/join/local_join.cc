@@ -1,130 +1,32 @@
 #include "join/local_join.h"
 
-#include <unordered_map>
-
-#include "common/logging.h"
-#include "join/verify.h"
-#include "ranking/footrule.h"
+#include "join/distance_policy.h"
 
 namespace rankjoin {
-namespace {
-
-/// Per-candidate state during one probe round of the prefix join.
-enum class CandidateState : uint8_t { kUnseen = 0, kAlive, kDead };
-
-}  // namespace
 
 void LocalPrefixJoin(const std::vector<PrefixPosting>& group,
                      const LocalJoinOptions& options,
                      std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  if (n < 2) return;
-
-  // Inverted index over the prefix items of already-processed rankings:
-  // item -> (group position, original rank of the item there).
-  std::unordered_map<ItemId, std::vector<std::pair<uint32_t, uint16_t>>>
-      index;
-  // Probe-round bookkeeping, reset lazily via stamps.
-  std::vector<CandidateState> state(n, CandidateState::kUnseen);
-  std::vector<uint32_t> stamp(n, 0);
-  std::vector<uint32_t> alive;
-  uint32_t round = 0;
-
-  const size_t prefix = static_cast<size_t>(options.prefix_size);
-  for (uint32_t i = 0; i < n; ++i) {
-    const OrderedRanking& ri = *group[i].ranking;
-    ++round;
-    alive.clear();
-    const size_t pi = std::min(prefix, ri.canonical.size());
-    for (size_t t = 0; t < pi; ++t) {
-      const ItemEntry& entry = ri.canonical[t];
-      auto it = index.find(entry.item);
-      if (it == index.end()) continue;
-      for (const auto& [j, rank_j] : it->second) {
-        if (stamp[j] != round) {
-          stamp[j] = round;
-          state[j] = CandidateState::kUnseen;
-        }
-        if (state[j] == CandidateState::kDead) continue;
-        if (options.position_filter &&
-            !PositionFilterPasses(entry.rank, rank_j, options.raw_theta)) {
-          // The position filter is a necessary condition over ANY shared
-          // item, so one failing item kills the pair outright.
-          if (state[j] == CandidateState::kAlive) {
-            state[j] = CandidateState::kDead;
-          } else {
-            state[j] = CandidateState::kDead;
-            ++stats->candidates;
-            ++stats->position_filtered;
-          }
-          continue;
-        }
-        if (state[j] == CandidateState::kUnseen) {
-          state[j] = CandidateState::kAlive;
-          alive.push_back(j);
-          ++stats->candidates;
-        }
-      }
-    }
-    for (uint32_t j : alive) {
-      if (state[j] != CandidateState::kAlive) {
-        ++stats->position_filtered;
-        continue;
-      }
-      const OrderedRanking& rj = *group[j].ranking;
-      if (auto d = VerifyPair(ri, rj, options.raw_theta, stats)) {
-        out->push_back({MakeResultPair(ri.id, rj.id), *d});
-      }
-    }
-    // Index this ranking's prefix for subsequent probes.
-    for (size_t t = 0; t < pi; ++t) {
-      const ItemEntry& entry = ri.canonical[t];
-      index[entry.item].push_back({i, entry.rank});
-    }
-  }
+  PrefixIndexJoin<FootrulePolicy>(group, options.raw_theta,
+                                  options.prefix_size,
+                                  options.position_filter, out, stats);
 }
 
 void LocalNestedLoopJoin(const std::vector<PrefixPosting>& group,
                          const LocalJoinOptions& options,
                          std::vector<ScoredPair>* out, JoinStats* stats) {
-  const size_t n = group.size();
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const PrefixPosting& a = group[i];
-    for (size_t j = i + 1; j < n; ++j) {
-      const PrefixPosting& b = group[j];
-      ++stats->candidates;
-      if (options.position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, options.raw_theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, options.raw_theta,
-                              stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
+  NestedLoopJoin<FootrulePolicy>(
+      group, UniformThreshold<uint32_t>{options.raw_theta},
+      options.position_filter, out, stats);
 }
 
 void LocalNestedLoopJoinRS(const std::vector<PrefixPosting>& left,
                            const std::vector<PrefixPosting>& right,
                            const LocalJoinOptions& options,
                            std::vector<ScoredPair>* out, JoinStats* stats) {
-  for (const PrefixPosting& a : left) {
-    for (const PrefixPosting& b : right) {
-      if (a.id == b.id) continue;
-      ++stats->candidates;
-      if (options.position_filter &&
-          !PositionFilterPasses(a.key_rank, b.key_rank, options.raw_theta)) {
-        ++stats->position_filtered;
-        continue;
-      }
-      if (auto d = VerifyPair(*a.ranking, *b.ranking, options.raw_theta,
-                              stats)) {
-        out->push_back({MakeResultPair(a.id, b.id), *d});
-      }
-    }
-  }
+  NestedLoopJoinRS<FootrulePolicy>(
+      left, right, UniformThreshold<uint32_t>{options.raw_theta},
+      options.position_filter, out, stats);
 }
 
 }  // namespace rankjoin

@@ -37,101 +37,49 @@ Status ValidateVjOptions(const VjOptions& options, int k) {
   return Status::OK();
 }
 
-namespace {
-
-/// Shared tail of both OrderDataset branches: reduce per-item ones into
-/// global frequencies and build the broadcastable order.
-template <typename RecordT, typename EmitOnes>
-ItemOrder ComputeItemOrder(minispark::Context* ctx,
-                           const minispark::Dataset<RecordT>& rankings,
-                           EmitOnes emit_ones, int num_partitions) {
-  (void)ctx;
-  auto item_ones = rankings.FlatMap(emit_ones, "vj/itemFrequency");
-  auto freq = minispark::ReduceByKey(
-      item_ones, [](uint32_t a, uint32_t b) { return a + b; },
-      num_partitions, "vj/itemFrequency");
-  std::unordered_map<ItemId, uint32_t> freq_map;
-  for (const auto& [item, count] : freq.Collect()) {
-    freq_map.emplace(item, count);
-  }
-  return ItemOrder::FromFrequencies(freq_map);
-}
-
-}  // namespace
-
 std::vector<OrderedRanking> OrderDataset(minispark::Context* ctx,
                                          const RankingDataset& dataset,
                                          bool reorder_by_frequency,
-                                         int num_partitions,
-                                         RankingStore store) {
-  if (store == RankingStore::kFlat) {
-    // Canonical path: parallelize zero-copy views over the columnar
-    // store. The views borrow the store's column memory, which outlives
-    // the stages here because the caller holds the dataset (and with it
-    // the store) across the whole join.
-    const FlatRankings& flat = dataset.store();
-    minispark::Dataset<RankingView> rankings =
-        minispark::Parallelize(ctx, flat.Views(), num_partitions);
+                                         int num_partitions) {
+  // Parallelize zero-copy views over the columnar store. The views
+  // borrow the store's column memory, which outlives the stages here
+  // because the caller holds the dataset (and with it the store) across
+  // the whole join.
+  const FlatRankings& flat = dataset.store();
+  minispark::Dataset<RankingView> rankings =
+      minispark::Parallelize(ctx, flat.Views(), num_partitions);
 
-    ItemOrder order;  // identity (by item id) unless reordering is on
-    if (reorder_by_frequency) {
-      order = ComputeItemOrder(
-          ctx, rankings,
-          [](const RankingView& v) {
-            std::vector<std::pair<ItemId, uint32_t>> out;
-            out.reserve(v.k);
-            for (uint32_t r = 0; r < v.k; ++r) out.push_back({v.items[r], 1});
-            return out;
-          },
-          num_partitions);
-    }
-
-    minispark::Broadcast<ItemOrder> order_bc =
-        ctx->MakeBroadcast(std::move(order), "vj/itemOrder");
-    minispark::Dataset<OrderedRanking> ordered = rankings.Map(
-        [order_bc](const RankingView& v) { return MakeOrdered(v, *order_bc); },
-        "vj/canonicalize");
-    return ordered.Collect();
-  }
-
-  // Legacy A/B path: one heap-allocated Ranking per record. An mmap-born
-  // dataset has no legacy vector; materialize one for the duration.
-  const std::vector<Ranking> materialized =
-      dataset.rankings.empty() && dataset.size() > 0
-          ? dataset.MaterializeLegacy()
-          : std::vector<Ranking>();
-  const std::vector<Ranking>& legacy =
-      materialized.empty() ? dataset.rankings : materialized;
-  minispark::Dataset<Ranking> rankings =
-      minispark::Parallelize(ctx, legacy, num_partitions);
-
-  ItemOrder order;
+  ItemOrder order;  // identity (by item id) unless reordering is on
   if (reorder_by_frequency) {
-    order = ComputeItemOrder(
-        ctx, rankings,
-        [](const Ranking& r) {
+    auto item_ones = rankings.FlatMap(
+        [](const RankingView& v) {
           std::vector<std::pair<ItemId, uint32_t>> out;
-          out.reserve(r.items().size());
-          for (ItemId item : r.items()) out.push_back({item, 1});
+          out.reserve(v.k);
+          for (uint32_t r = 0; r < v.k; ++r) out.push_back({v.items[r], 1});
           return out;
         },
-        num_partitions);
+        "vj/itemFrequency");
+    auto freq = minispark::ReduceByKey(
+        item_ones, [](uint32_t a, uint32_t b) { return a + b; },
+        num_partitions, "vj/itemFrequency");
+    std::unordered_map<ItemId, uint32_t> freq_map;
+    for (const auto& [item, count] : freq.Collect()) {
+      freq_map.emplace(item, count);
+    }
+    order = ItemOrder::FromFrequencies(freq_map);
   }
 
   minispark::Broadcast<ItemOrder> order_bc =
       ctx->MakeBroadcast(std::move(order), "vj/itemOrder");
   minispark::Dataset<OrderedRanking> ordered = rankings.Map(
-      [order_bc](const Ranking& r) { return MakeOrdered(r, *order_bc); },
+      [order_bc](const RankingView& v) { return MakeOrdered(v, *order_bc); },
       "vj/canonicalize");
   return ordered.Collect();
 }
 
-namespace {
-
-/// Emits (prefix item, posting) pairs for one ranking.
 std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
     const OrderedRanking& ranking, int prefix_size, PrefixMode mode,
-    bool singleton = false) {
+    bool singleton) {
   std::vector<std::pair<ItemId, PrefixPosting>> out;
   const size_t p =
       std::min(static_cast<size_t>(prefix_size), ranking.canonical.size());
@@ -156,16 +104,14 @@ std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
   return out;
 }
 
-}  // namespace
-
+template <typename P>
 std::vector<ScoredPair> DistributedSelfJoin(
     minispark::Context* ctx,
     const std::vector<const OrderedRanking*>& subset,
-    const SelfJoinSpec& spec, JoinStats* stats) {
-  const int prefix_size =
-      spec.prefix_mode == PrefixMode::kOverlap
-          ? OverlapPrefix(spec.raw_theta, spec.k)
-          : OrderedPrefix(spec.raw_theta, spec.k);
+    const BasicSelfJoinSpec<typename P::Distance>& spec, JoinStats* stats) {
+  using Distance = typename P::Distance;
+  const int prefix_size = P::Prefix(spec.raw_theta, spec.k, spec.prefix_mode);
+  const std::string& names = spec.stage_prefix;
 
   minispark::Dataset<const OrderedRanking*> rankings =
       minispark::Parallelize(ctx, subset, spec.num_partitions);
@@ -173,34 +119,33 @@ std::vector<ScoredPair> DistributedSelfJoin(
       [prefix_size, mode = spec.prefix_mode](const OrderedRanking* r) {
         return EmitPrefix(*r, prefix_size, mode);
       },
-      "selfJoin/prefix");
+      names + "selfJoin/prefix");
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
-      postings, spec.num_partitions, "selfJoin/groupByItem");
+      postings, spec.num_partitions, names + "selfJoin/groupByItem");
 
-  LocalJoinOptions local_options;
-  local_options.raw_theta = spec.raw_theta;
-  local_options.prefix_size = prefix_size;
-  local_options.position_filter = spec.position_filter;
-
+  const Distance theta = spec.raw_theta;
+  const bool position_filter = spec.position_filter;
   LocalJoinFn local_join;
   if (spec.local_algorithm == LocalAlgorithm::kPrefixIndex) {
-    local_join = [local_options](const std::vector<PrefixPosting>& group,
-                                 std::vector<ScoredPair>* out,
-                                 JoinStats* s) {
-      LocalPrefixJoin(group, local_options, out, s);
+    local_join = [theta, prefix_size, position_filter](
+                     const std::vector<PrefixPosting>& group,
+                     std::vector<ScoredPair>* out, JoinStats* s) {
+      PrefixIndexJoin<P>(group, theta, prefix_size, position_filter, out, s);
     };
   } else {
-    local_join = [local_options](const std::vector<PrefixPosting>& group,
-                                 std::vector<ScoredPair>* out,
-                                 JoinStats* s) {
-      LocalNestedLoopJoin(group, local_options, out, s);
+    local_join = [theta, position_filter](
+                     const std::vector<PrefixPosting>& group,
+                     std::vector<ScoredPair>* out, JoinStats* s) {
+      NestedLoopJoin<P>(group, UniformThreshold<Distance>{theta},
+                        position_filter, out, s);
     };
   }
-  LocalRsJoinFn rs_join = [local_options](
+  LocalRsJoinFn rs_join = [theta, position_filter](
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
-    LocalNestedLoopJoinRS(left, right, local_options, out, s);
+    NestedLoopJoinRS<P>(left, right, UniformThreshold<Distance>{theta},
+                        position_filter, out, s);
   };
 
   // Phase-local stats: the local joins accumulate into per-partition
@@ -215,8 +160,8 @@ std::vector<ScoredPair> DistributedSelfJoin(
       rs_join, &phase_stats, spec.adaptive_repartition);
   // Final phase of VJ: remove the duplicates produced by rankings that
   // share several prefix items.
-  minispark::Dataset<ScoredPair> unique =
-      minispark::Distinct(raw_pairs, spec.num_partitions, "selfJoin/distinct");
+  minispark::Dataset<ScoredPair> unique = minispark::Distinct(
+      raw_pairs, spec.num_partitions, names + "selfJoin/distinct");
   std::vector<ScoredPair> collected = unique.Collect();
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", collected.size());
@@ -224,24 +169,11 @@ std::vector<ScoredPair> DistributedSelfJoin(
   return collected;
 }
 
-}  // namespace internal
-
-static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
-                                        const RankingDataset& dataset,
-                                        const VjOptions& options);
-
-Result<JoinResult> RunVjJoin(minispark::Context* ctx,
-                             const RankingDataset& dataset,
-                             const VjOptions& options) {
-  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
-  return minispark::StopAware(
-      [&] { return RunVjJoinImpl(ctx, dataset, options); });
-}
-
-static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
-                                        const RankingDataset& dataset,
-                                        const VjOptions& options) {
-  RANKJOIN_RETURN_NOT_OK(internal::ValidateVjOptions(options, dataset.k));
+template <typename P>
+Result<JoinResult> RunVjPipeline(minispark::Context* ctx,
+                                 const RankingDataset& dataset,
+                                 const VjOptions& options,
+                                 const std::string& stage_prefix) {
   RANKJOIN_RETURN_NOT_OK(dataset.Validate());
   const int num_partitions = options.num_partitions > 0
                                  ? options.num_partitions
@@ -251,17 +183,16 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
   JoinResult result;
 
   Stopwatch phase;
-  std::vector<OrderedRanking> ordered =
-      internal::OrderDataset(ctx, dataset, options.reorder_by_frequency,
-                             num_partitions, options.store);
+  std::vector<OrderedRanking> ordered = OrderDataset(
+      ctx, dataset, options.reorder_by_frequency, num_partitions);
   std::vector<const OrderedRanking*> all;
   all.reserve(ordered.size());
   for (const OrderedRanking& r : ordered) all.push_back(&r);
   result.stats.ordering_seconds = phase.ElapsedSeconds();
 
   phase.Reset();
-  internal::SelfJoinSpec spec;
-  spec.raw_theta = RawThreshold(options.theta, dataset.k);
+  BasicSelfJoinSpec<typename P::Distance> spec;
+  spec.raw_theta = P::Threshold(options.theta, dataset.k);
   spec.k = dataset.k;
   spec.num_partitions = num_partitions;
   spec.position_filter = options.position_filter;
@@ -270,8 +201,9 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
   spec.repartition_delta = options.repartition_delta;
   spec.adaptive_repartition = options.adaptive_repartition;
   spec.counter_scope = options.counter_scope;
+  spec.stage_prefix = stage_prefix;
   std::vector<ScoredPair> scored =
-      internal::DistributedSelfJoin(ctx, all, spec, &result.stats);
+      DistributedSelfJoin<P>(ctx, all, spec, &result.stats);
   result.stats.joining_seconds = phase.ElapsedSeconds();
 
   result.pairs.reserve(scored.size());
@@ -281,6 +213,32 @@ static Result<JoinResult> RunVjJoinImpl(minispark::Context* ctx,
   ctx->counters().Add(options.counter_scope + ".result_pairs",
                       result.stats.result_pairs);
   return result;
+}
+
+#define RANKJOIN_INSTANTIATE_VJ(P)                                        \
+  template std::vector<ScoredPair> DistributedSelfJoin<P>(                \
+      minispark::Context*, const std::vector<const OrderedRanking*>&,     \
+      const BasicSelfJoinSpec<P::Distance>&, JoinStats*);                 \
+  template Result<JoinResult> RunVjPipeline<P>(                           \
+      minispark::Context*, const RankingDataset&, const VjOptions&,       \
+      const std::string&);
+
+RANKJOIN_INSTANTIATE_VJ(FootrulePolicy)
+RANKJOIN_INSTANTIATE_VJ(JaccardPolicy)
+
+#undef RANKJOIN_INSTANTIATE_VJ
+
+}  // namespace internal
+
+Result<JoinResult> RunVjJoin(minispark::Context* ctx,
+                             const RankingDataset& dataset,
+                             const VjOptions& options) {
+  // A Cancel()/deadline stop anywhere inside unwinds here as a Status.
+  return minispark::StopAware([&]() -> Result<JoinResult> {
+    RANKJOIN_RETURN_NOT_OK(internal::ValidateVjOptions(options, dataset.k));
+    return internal::RunVjPipeline<FootrulePolicy>(ctx, dataset, options,
+                                                   "");
+  });
 }
 
 }  // namespace rankjoin

@@ -3,25 +3,16 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "join/distance_policy.h"
 #include "join/stats.h"
 #include "minispark/context.h"
-#include "ranking/flat_rankings.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
-
-/// Which prefix derivation to use (paper Section 4).
-enum class PrefixMode {
-  /// Overlap-based prefix under the global frequency order — required
-  /// when rankings are reordered; the paper's default.
-  kOverlap,
-  /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
-  /// but fixes the prefix to the original top ranks.
-  kOrdered,
-};
 
 /// Per-posting-list join kernel (paper Sections 4 and 4.1).
 enum class LocalAlgorithm {
@@ -57,10 +48,6 @@ struct VjOptions {
   /// "<scope>.candidates", "<scope>.verified", ... VJ-NL overrides this
   /// to "vj_nl" so the two variants stay distinguishable in one trace.
   std::string counter_scope = "vj";
-  /// Which ranking representation the ordering phase parallelizes over:
-  /// the columnar FlatRankings store (default; zero-copy RankingViews)
-  /// or the legacy vector<Ranking> path kept for A/B measurements.
-  RankingStore store = RankingStore::kFlat;
 };
 
 /// Runs the Vernica-Join adaptation for top-k rankings (paper Section 4)
@@ -81,15 +68,22 @@ Status ValidateVjOptions(const VjOptions& options, int k);
 std::vector<OrderedRanking> OrderDataset(minispark::Context* ctx,
                                          const RankingDataset& dataset,
                                          bool reorder_by_frequency,
-                                         int num_partitions,
-                                         RankingStore store =
-                                             RankingStore::kFlat);
+                                         int num_partitions);
+
+/// Emits (prefix item, posting) pairs for the first `prefix_size`
+/// entries of `ranking` under `mode`; `singleton` tags the postings for
+/// the CL centroid join.
+std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
+    const OrderedRanking& ranking, int prefix_size, PrefixMode mode,
+    bool singleton = false);
 
 /// Spec for a distributed prefix-filter self-join over already-ordered
 /// rankings (reused by the CL clustering phase, which joins the whole
-/// dataset with theta_c, and by the VJ driver).
-struct SelfJoinSpec {
-  uint32_t raw_theta = 0;
+/// dataset with theta_c, and by the VJ driver). `Distance` is the
+/// distance policy's threshold type (raw Footrule or Jaccard).
+template <typename Distance>
+struct BasicSelfJoinSpec {
+  Distance raw_theta{};
   int k = 0;
   int num_partitions = 1;
   bool position_filter = true;
@@ -102,15 +96,30 @@ struct SelfJoinSpec {
   /// Counter namespace (see VjOptions::counter_scope); the CL clustering
   /// phase sets its own scope here.
   std::string counter_scope = "selfJoin";
+  /// Prepended to every stage name, so a second distance's pipelines
+  /// stay distinguishable in traces and ExplainDot ("" for Footrule).
+  std::string stage_prefix;
 };
 
+using SelfJoinSpec = BasicSelfJoinSpec<uint32_t>;
+
 /// Distributed self-join over `subset` (pointers must stay valid for the
-/// duration of the call). Returns deduplicated scored pairs with raw
-/// distance <= spec.raw_theta.
+/// duration of the call) under distance policy `P`. Returns deduplicated
+/// scored pairs within spec.raw_theta.
+template <typename P = FootrulePolicy>
 std::vector<ScoredPair> DistributedSelfJoin(
     minispark::Context* ctx,
     const std::vector<const OrderedRanking*>& subset,
-    const SelfJoinSpec& spec, JoinStats* stats);
+    const BasicSelfJoinSpec<typename P::Distance>& spec, JoinStats* stats);
+
+/// The VJ driver under distance policy `P`: ordering, the distributed
+/// self-join with `options.theta`, result collection. `options` must
+/// already be validated; `stage_prefix` as in BasicSelfJoinSpec.
+template <typename P>
+Result<JoinResult> RunVjPipeline(minispark::Context* ctx,
+                                 const RankingDataset& dataset,
+                                 const VjOptions& options,
+                                 const std::string& stage_prefix);
 
 }  // namespace internal
 }  // namespace rankjoin

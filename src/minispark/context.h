@@ -58,12 +58,6 @@ class Context {
     int num_workers = 4;
     /// Partition count used when an operation does not specify one.
     int default_partitions = 8;
-    /// When true (default), chains of narrow transformations build a lazy
-    /// plan and execute as one fused stage at the next wide operation or
-    /// action. When false, every transformation materializes immediately
-    /// (a barrier after every op) — the pre-fusion eager semantics, kept
-    /// as an A/B baseline for tests and benchmarks.
-    bool fuse_narrow_ops = true;
     /// Job-wide cap on the bytes a shuffle's map-side buckets may keep
     /// resident. Once the (serialized-size) total across all map tasks
     /// exceeds it, the task that crossed the line spills its buckets to
@@ -120,9 +114,6 @@ class Context {
     /// MS003 threshold: broadcasts with a driver-side size estimate
     /// above this many bytes are flagged.
     uint64_t lint_broadcast_max_bytes = 64ull << 20;
-    /// MS005 threshold: a lineage path with at least this many
-    /// same-signature wide nodes is flagged as a barrier-inside-loop.
-    int lint_loop_repeat_threshold = 3;
     /// Fault tolerance (fault.h): how many times one task is RE-run
     /// after a retryable failure (a throwing user lambda or an injected
     /// fault) before the stage fails. 0 = fail on the first error, like
@@ -221,7 +212,6 @@ class Context {
 
   int num_workers() const { return options_.num_workers; }
   int default_partitions() const { return options_.default_partitions; }
-  bool fusion_enabled() const { return options_.fuse_narrow_ops; }
   uint64_t shuffle_memory_budget_bytes() const {
     return options_.shuffle_memory_budget_bytes;
   }
@@ -252,7 +242,6 @@ class Context {
     settings.shuffle_memory_budget_bytes =
         options_.shuffle_memory_budget_bytes;
     settings.broadcast_max_bytes = options_.lint_broadcast_max_bytes;
-    settings.loop_repeat_threshold = options_.lint_loop_repeat_threshold;
     settings.split_partition_bytes = options_.split_partition_bytes;
     settings.broadcasts = broadcasts_;
     return settings;

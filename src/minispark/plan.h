@@ -37,8 +37,8 @@ struct PlanNode {
   /// the plan linter reason about adjacent shuffles (MS002) without
   /// touching the physical layer.
   int num_partitions = 0;
-  /// True when the producing handle was still PENDING (an unfused or
-  /// fused-but-unmaterialized narrow chain) at node-construction time:
+  /// True when the producing handle was still PENDING (a narrow chain
+  /// not yet materialized) at node-construction time:
   /// every downstream consumer re-executes the chain. False for
   /// materialized sources, wide outputs, and Cache() pins. This is the
   /// recompute hazard MS001 looks for on multi-consumer nodes.

@@ -6,23 +6,6 @@
 
 namespace rankjoin {
 
-const char* RankingStoreName(RankingStore store) {
-  switch (store) {
-    case RankingStore::kFlat:
-      return "flat";
-    case RankingStore::kLegacy:
-      return "legacy";
-  }
-  return "unknown";
-}
-
-Result<RankingStore> ParseRankingStore(const std::string& text) {
-  if (text == "flat") return RankingStore::kFlat;
-  if (text == "legacy") return RankingStore::kLegacy;
-  return Status::InvalidArgument("unknown ranking store '" + text +
-                                 "' (expected flat|legacy)");
-}
-
 FlatRankings FlatRankings::FromRankings(int k,
                                         const std::vector<Ranking>& rankings) {
   Builder builder(k);
@@ -67,12 +50,31 @@ std::vector<Ranking> FlatRankings::MaterializeRankings() const {
 Status FlatRankings::Validate() const {
   if (validated_ != 0) return validate_status_;
   const size_t k = static_cast<size_t>(k_);
+  bool ids_ascending = true;
   for (size_t i = 0; i < count_; ++i) {
     if (!internal::ItemsDistinct(items_ + i * k, k)) {
       validated_ = 2;
       validate_status_ = Status::InvalidArgument(
           "ranking " + std::to_string(ids_[i]) + " contains duplicate items");
       return validate_status_;
+    }
+    ids_ascending = ids_ascending && (i == 0 || ids_[i - 1] < ids_[i]);
+  }
+  // Strictly ascending ids (what the loaders and generators produce) are
+  // unique as they stand; otherwise look for a repeat with a stamped set
+  // sized for the whole dataset (ids are ItemId-sized) and freed on
+  // return.
+  if (!ids_ascending) {
+    internal::ScratchItemSet seen_ids;
+    seen_ids.Begin(count_);
+    for (size_t i = 0; i < count_; ++i) {
+      if (!seen_ids.Insert(ids_[i])) {
+        validated_ = 2;
+        validate_status_ = Status::InvalidArgument(
+            "ranking id " + std::to_string(ids_[i]) +
+            " appears more than once");
+        return validate_status_;
+      }
     }
   }
   validated_ = 1;

@@ -35,8 +35,8 @@ size_t RankingDataset::size() const {
 }
 
 Status RankingDataset::Validate() const {
-  // The fixed-k invariant can only be broken through the legacy vector —
-  // the flat store is fixed-k by construction.
+  // The fixed-k invariant can only be broken through the `rankings`
+  // vector — the flat store is fixed-k by construction.
   for (const Ranking& r : rankings) {
     if (r.k() != k) {
       return Status::InvalidArgument("ranking " + std::to_string(r.id()) +
@@ -44,16 +44,7 @@ Status RankingDataset::Validate() const {
                                      ", expected " + std::to_string(k));
     }
   }
-  if (flat_ && flat_->size() == size() && flat_->k() == k) {
-    return flat_->Validate();  // memoized: runs once per load
-  }
-  for (const Ranking& r : rankings) {
-    if (!r.IsValid()) {
-      return Status::InvalidArgument("ranking " + std::to_string(r.id()) +
-                                     " contains duplicate items");
-    }
-  }
-  return Status::OK();
+  return store().Validate();  // memoized: runs once per load
 }
 
 const FlatRankings& RankingDataset::store() const {
@@ -66,11 +57,6 @@ const FlatRankings& RankingDataset::store() const {
 
 void RankingDataset::AttachStore(std::shared_ptr<const FlatRankings> store) {
   flat_ = std::move(store);
-}
-
-std::vector<Ranking> RankingDataset::MaterializeLegacy() const {
-  if (!rankings.empty() || !flat_) return rankings;
-  return flat_->MaterializeRankings();
 }
 
 }  // namespace rankjoin

@@ -55,20 +55,20 @@ class Ranking {
 
 /// A dataset of fixed-length rankings, all sharing the same k. The
 /// canonical in-memory representation is the columnar FlatRankings store
-/// returned by store(); the legacy `rankings` vector is kept for
-/// construction convenience (generators, tests) and for the
-/// --store=legacy A/B path. Datasets loaded from the columnar mmap
-/// format are born flat: `rankings` stays empty and store() serves the
-/// mapped columns zero-copy.
+/// returned by store(); the `rankings` vector is kept for construction
+/// convenience (generators, tests, the text loader). Datasets loaded
+/// from the columnar mmap format are born flat: `rankings` stays empty
+/// and store() serves the mapped columns zero-copy.
 struct RankingDataset {
   int k = 0;
   std::vector<Ranking> rankings;
 
   size_t size() const;
 
-  /// Validates the fixed-k and distinct-items invariants. Routed through
-  /// the flat store when one is attached/built, where the result is
-  /// memoized so validation runs once per load.
+  /// Validates the fixed-k, distinct-items and unique-id invariants
+  /// (InvalidArgument naming the offending ranking id). The last two
+  /// run on the flat store, where the result is memoized so validation
+  /// runs once per load.
   Status Validate() const;
 
   /// The canonical columnar representation. Built lazily from `rankings`
@@ -81,10 +81,6 @@ struct RankingDataset {
   void AttachStore(std::shared_ptr<const FlatRankings> store);
 
   bool has_store() const { return flat_ != nullptr; }
-
-  /// Legacy Ranking objects for the --store=legacy path: `rankings` when
-  /// populated, otherwise materialized copies from the flat store.
-  std::vector<Ranking> MaterializeLegacy() const;
 
  private:
   mutable std::shared_ptr<const FlatRankings> flat_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/similarity_join.h"
+#include "jaccard/jaccard_join.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
@@ -149,6 +150,31 @@ TEST(EdgeCaseTest, AllRankingsIdentical) {
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
     EXPECT_EQ(result->pairs.size(), all_pairs) << AlgorithmName(algorithm);
   }
+}
+
+TEST(EdgeCaseTest, DuplicateIdsRejectedByEveryAlgorithm) {
+  // With a repeated id the algorithms used to disagree: brute force and
+  // VJ emitted 3 pairs at theta = 0.3, CL only 1. Every entry point now
+  // rejects the dataset instead.
+  RankingDataset ds;
+  ds.k = 3;
+  ds.rankings = {Ranking(7, {1, 2, 3}), Ranking(7, {1, 2, 4}),
+                 Ranking(8, {1, 2, 3})};
+  minispark::Context ctx(TestCluster());
+  std::vector<Algorithm> algorithms = AllDistributed();
+  algorithms.push_back(Algorithm::kBruteForce);
+  for (Algorithm algorithm : algorithms) {
+    auto result = RunSimilarityJoin(&ctx, ds, BaseConfig(algorithm, 0.3));
+    ASSERT_FALSE(result.ok()) << AlgorithmName(algorithm);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("ranking id 7"),
+              std::string::npos)
+        << result.status().message();
+  }
+  JaccardJoinOptions jaccard;
+  jaccard.theta = 0.3;
+  EXPECT_FALSE(RunJaccardVjJoin(&ctx, ds, jaccard).ok());
+  EXPECT_FALSE(RunJaccardClusterJoin(&ctx, ds, jaccard).ok());
 }
 
 TEST(EdgeCaseTest, SparseIdsSupported) {

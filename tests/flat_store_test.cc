@@ -138,7 +138,8 @@ TEST(ColumnarIoTest, WriteMapRoundTrip) {
 
   auto mapped = MapFlatRankings(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  // Mmap-born: legacy vector stays empty, the store serves the columns.
+  // Mmap-born: the Ranking vector stays empty, the store serves the
+  // columns.
   EXPECT_TRUE(mapped->rankings.empty());
   EXPECT_TRUE(mapped->has_store());
   ASSERT_EQ(mapped->size(), original.size());
@@ -149,11 +150,11 @@ TEST(ColumnarIoTest, WriteMapRoundTrip) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(flat.view(i), truth.view(i));
   }
-  // The legacy A/B path materializes identical Rankings.
-  std::vector<Ranking> legacy = mapped->MaterializeLegacy();
-  ASSERT_EQ(legacy.size(), original.size());
+  // The mapped store materializes identical Rankings.
+  std::vector<Ranking> materialized = flat.MaterializeRankings();
+  ASSERT_EQ(materialized.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(legacy[i], original.rankings[i]);
+    EXPECT_EQ(materialized[i], original.rankings[i]);
   }
   std::remove(path.c_str());
 }
@@ -225,16 +226,8 @@ TEST(ColumnarIoTest, MapValidatesDistinctItems) {
 }
 
 // ---------------------------------------------------------------------
-// Store name parsing and view serde
+// View serde
 // ---------------------------------------------------------------------
-
-TEST(RankingStoreTest, NamesRoundTrip) {
-  EXPECT_EQ(*ParseRankingStore("flat"), RankingStore::kFlat);
-  EXPECT_EQ(*ParseRankingStore("legacy"), RankingStore::kLegacy);
-  EXPECT_STREQ(RankingStoreName(RankingStore::kFlat), "flat");
-  EXPECT_STREQ(RankingStoreName(RankingStore::kLegacy), "legacy");
-  EXPECT_FALSE(ParseRankingStore("columnar?").ok());
-}
 
 TEST(RankingViewSerdeTest, EncodesHeaderOnly) {
   RankingDataset ds = SmallSkewedDataset(14, 4, 10);

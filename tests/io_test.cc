@@ -99,6 +99,51 @@ TEST_F(IoTest, RejectsNegativeItems) {
   std::remove(path.c_str());
 }
 
+/// Loads `content` (k = 3) and expects an IoError naming line 2, where
+/// every case below puts its bad line after one good one.
+void ExpectRejectedAtLine2(const std::string& path, const std::string& bad,
+                           const std::string& why) {
+  {
+    std::ofstream out(path);
+    out << "0: 1 2 3\n" << bad << "\n";
+  }
+  auto ds = ReadRankings(path, 3);
+  ASSERT_FALSE(ds.ok()) << bad << " was accepted";
+  EXPECT_EQ(ds.status().code(), StatusCode::kIoError);
+  EXPECT_NE(ds.status().message().find(path + ":2:"), std::string::npos)
+      << ds.status().message();
+  EXPECT_NE(ds.status().message().find(why), std::string::npos)
+      << ds.status().message();
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, RejectsTrailingGarbage) {
+  ExpectRejectedAtLine2(TempPath("garbage.txt"), "1: 1 2 3 x", "'x'");
+  ExpectRejectedAtLine2(TempPath("garbage2.txt"), "1: 1 2 3x", "'3x'");
+  ExpectRejectedAtLine2(TempPath("garbage3.txt"), "1x: 1 2 3", "id");
+}
+
+TEST_F(IoTest, RejectsIdAbove32Bits) {
+  // 2^32 + 1 used to wrap to id 1.
+  ExpectRejectedAtLine2(TempPath("bigid.txt"), "4294967297: 1 2 3", "id");
+}
+
+TEST_F(IoTest, RejectsItemAbove32Bits) {
+  ExpectRejectedAtLine2(TempPath("bigitem.txt"), "1: 1 2 4294967296",
+                        "'4294967296'");
+}
+
+TEST_F(IoTest, AcceptsLargestIdsAndTabs) {
+  const std::string path = TempPath("maxid.txt");
+  WriteFile(path, "4294967295:\t4294967295 0\t7 \r\n");
+  auto ds = ReadRankings(path, 3);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  EXPECT_EQ(ds->rankings[0].id(), 4294967295u);
+  EXPECT_EQ(ds->rankings[0].ItemAt(0), 4294967295u);
+  EXPECT_EQ(ds->rankings[0].ItemAt(2), 7u);
+  std::remove(path.c_str());
+}
+
 TEST(PreprocessSetsTest, CutsToFirstKDistinctTokens) {
   std::vector<std::vector<ItemId>> records = {
       {5, 5, 1, 2, 9, 9, 3},  // first 4 distinct tokens: 5 1 2 9

@@ -50,34 +50,7 @@ Context::Options LintCluster(LintLevel level = LintLevel::kOff) {
 /// level must pin RANKJOIN_LINT_LEVEL: CI runs this whole suite under
 /// several values of the override, which would otherwise clobber the
 /// Options level the test set.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using rankjoin::testutil::ScopedEnv;
 
 /// Filters diagnostics down to one code.
 std::vector<LintDiagnostic> Only(const std::vector<LintDiagnostic>& diags,

@@ -382,20 +382,6 @@ TEST(LazyTest, CopiedHandlesShareMaterialization) {
   EXPECT_EQ(calls.load(), 6);
 }
 
-TEST(LazyTest, FusionDisabledRunsEagerly) {
-  Context::Options options = SmallCluster();
-  options.fuse_narrow_ops = false;
-  Context ctx(options);
-  std::atomic<int> calls{0};
-  auto ds = Parallelize(&ctx, Iota(5), 2).Map([&calls](const int& x) {
-    ++calls;
-    return x;
-  });
-  // Eager mode materializes every operator immediately.
-  EXPECT_TRUE(ds.materialized());
-  EXPECT_EQ(calls.load(), 5);
-}
-
 TEST(LazyTest, NarrowChainFusesIntoShuffleWrite) {
   Context ctx(SmallCluster());
   ctx.metrics().Clear();

@@ -60,5 +60,16 @@ TEST(RankingDatasetTest, ValidateRejectsDuplicateItems) {
   EXPECT_EQ(ds.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RankingDatasetTest, ValidateRejectsDuplicateIds) {
+  RankingDataset ds;
+  ds.k = 3;
+  ds.rankings = {Ranking(7, {1, 2, 3}), Ranking(7, {1, 2, 4}),
+                 Ranking(8, {1, 2, 3})};
+  Status s = ds.Validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("ranking id 7"), std::string::npos)
+      << s.message();
+}
+
 }  // namespace
 }  // namespace rankjoin

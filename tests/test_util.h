@@ -2,7 +2,9 @@
 #define RANKJOIN_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "data/generator.h"
@@ -36,6 +38,38 @@ inline std::set<ResultPair> PairSet(const std::vector<ResultPair>& pairs) {
 inline std::set<ResultPair> Truth(const RankingDataset& ds, double theta) {
   return PairSet(BruteForceJoin(ds, theta).pairs);
 }
+
+/// Sets (or, with nullptr, unsets) an environment variable for the
+/// guard's lifetime — for tests whose assertions must not see the CI
+/// jobs' engine overrides (RANKJOIN_PIPELINED_STAGES and friends).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_old_ = true;
+      old_ = old;
+    }
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  bool had_old_ = false;
+  std::string old_;
+};
 
 inline minispark::Context::Options TestCluster(int workers = 4,
                                                int partitions = 8) {
