@@ -52,8 +52,7 @@ struct StageMetrics {
   /// was pulled into a shuffle's map side).
   std::string fused_ops;
   /// Elements/bytes this stage materialized into partition storage.
-  /// Elements that only stream through a fused chain are not counted —
-  /// the difference against unfused execution is the fusion win.
+  /// Elements that only stream through a fused chain are not counted.
   uint64_t materialized_elements = 0;
   uint64_t materialized_bytes = 0;
   /// Serialized bytes this stage's shuffle writers spilled to temp files

@@ -52,7 +52,7 @@ OrderedRanking MakeOrdered(const RankingView& view, const ItemOrder& order);
 std::vector<OrderedRanking> MakeOrderedDataset(
     const std::vector<Ranking>& rankings, const ItemOrder& order);
 /// Same, straight off the columnar store (works for mmap-born datasets
-/// whose legacy vector is empty).
+/// whose Ranking vector is empty).
 std::vector<OrderedRanking> MakeOrderedDataset(const FlatRankings& rankings,
                                                const ItemOrder& order);
 
