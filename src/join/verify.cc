@@ -1,8 +1,5 @@
 #include "join/verify.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/logging.h"
 #include "ranking/footrule.h"
 
@@ -19,20 +16,27 @@ std::optional<uint32_t> VerifyPair(const OrderedRanking& a,
 
 RankingTable::RankingTable(const std::vector<OrderedRanking>& rankings)
     : rankings_(&rankings) {
-  RankingId max_id = 0;
-  for (const OrderedRanking& r : rankings) max_id = std::max(max_id, r.id);
-  index_.assign(static_cast<size_t>(max_id) + 1,
-                std::numeric_limits<size_t>::max());
+  RANKJOIN_CHECK(rankings.size() < kEmpty);
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * rankings.size()) ++bits;
+  shift_ = 64 - bits;
+  slots_.assign(size_t{1} << bits, kEmpty);
+  const size_t mask = slots_.size() - 1;
   for (size_t i = 0; i < rankings.size(); ++i) {
-    index_[rankings[i].id] = i;
+    size_t slot = Slot(rankings[i].id);
+    while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<uint32_t>(i);
   }
 }
 
 const OrderedRanking& RankingTable::Get(RankingId id) const {
-  RANKJOIN_DCHECK(id < index_.size());
-  const size_t pos = index_[id];
-  RANKJOIN_DCHECK(pos != std::numeric_limits<size_t>::max());
-  return (*rankings_)[pos];
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = Slot(id);; slot = (slot + 1) & mask) {
+    const uint32_t pos = slots_[slot];
+    RANKJOIN_DCHECK(pos != kEmpty) << "unknown ranking id " << id;
+    const OrderedRanking& ranking = (*rankings_)[pos];
+    if (ranking.id == id) return ranking;
+  }
 }
 
 }  // namespace rankjoin

@@ -32,9 +32,21 @@ class RankingTable {
   size_t size() const { return rankings_->size(); }
 
  private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  /// Home slot of `id`: Fibonacci hashing, so dense ids spread without
+  /// collisions and strided ids do not pile up.
+  size_t Slot(RankingId id) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
   const std::vector<OrderedRanking>* rankings_;
-  // index_[id] = position in *rankings_, or npos.
-  std::vector<size_t> index_;
+  /// Open-addressing hash table with linear probing: each slot holds a
+  /// position in *rankings_, or kEmpty. At most half full, so memory is
+  /// O(n) whatever the ids.
+  std::vector<uint32_t> slots_;
+  int shift_ = 64;
 };
 
 }  // namespace rankjoin

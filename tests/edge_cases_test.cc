@@ -178,17 +178,32 @@ TEST(EdgeCaseTest, DuplicateIdsRejectedByEveryAlgorithm) {
 }
 
 TEST(EdgeCaseTest, SparseIdsSupported) {
-  // Non-dense ranking ids must work through every pipeline.
-  RankingDataset ds;
-  ds.k = 3;
-  ds.rankings = {Ranking(100, {1, 2, 3}), Ranking(2000, {1, 2, 3}),
-                 Ranking(77777, {2, 1, 3})};
+  // Non-dense ranking ids, up to the largest 32-bit id, must work
+  // through every pipeline.
+  RankingDataset sparse;
+  sparse.k = 3;
+  sparse.rankings = {Ranking(100, {1, 2, 3}), Ranking(2000, {1, 2, 3}),
+                     Ranking(77777, {2, 1, 3})};
+  RankingDataset largest_id;
+  largest_id.k = 3;
+  largest_id.rankings = {Ranking(4294967295u, {1, 2, 3}),
+                         Ranking(5, {1, 2, 4}), Ranking(6, {1, 2, 3})};
+  const std::vector<std::pair<RankingDataset, double>> inputs = {
+      {sparse, 0.2}, {largest_id, 0.3}};
   minispark::Context ctx(TestCluster());
-  for (Algorithm algorithm : AllDistributed()) {
-    auto result = RunSimilarityJoin(&ctx, ds, BaseConfig(algorithm, 0.2));
-    ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
-    EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.2))
-        << AlgorithmName(algorithm);
+  for (const auto& [ds, theta] : inputs) {
+    for (Algorithm algorithm : AllDistributed()) {
+      auto result = RunSimilarityJoin(&ctx, ds, BaseConfig(algorithm, theta));
+      ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
+      EXPECT_EQ(PairSet(result->pairs), Truth(ds, theta))
+          << AlgorithmName(algorithm);
+    }
+    JaccardJoinOptions jaccard;
+    jaccard.theta = theta;
+    auto result = RunJaccardClusterJoin(&ctx, ds, jaccard);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(PairSet(result->pairs),
+              PairSet(JaccardBruteForceJoin(ds, theta).pairs));
   }
 }
 
