@@ -1,6 +1,6 @@
 // google-benchmark suite for the minispark dataflow primitives: shuffle
-// throughput, groupByKey, reduceByKey, join, distinct, sortByKey, and
-// the lazy stage-fusion engine (fused vs per-operator execution).
+// throughput, groupByKey, reduceByKey, join, distinct, and the lazy
+// stage-fusion engine.
 // These bound the constant factors behind every distributed pipeline.
 // Lazy outputs are forced with Count() so each iteration measures the
 // full materialization, not just plan construction.
@@ -14,7 +14,6 @@
 
 #include "common/random.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 
 namespace rankjoin::minispark {
 namespace {
@@ -139,17 +138,6 @@ void BM_ChainFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChainFused)->Arg(100000);
-
-void BM_SortByKey(benchmark::State& state) {
-  Context ctx(BenchCluster());
-  auto data = MakeKv(static_cast<size_t>(state.range(0)), 1 << 20);
-  auto ds = Parallelize(&ctx, data, 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SortByKey(ds, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SortByKey)->Arg(100000);
 
 // Same shuffle, resident vs disk: arg is the memory budget in bytes
 // (0 = unlimited). The spill counters quantify how much of the shuffle
@@ -285,7 +273,7 @@ int DumpMetricsJson(const std::string& path) {
 /// `--lint` wiring: runs the plan linter (lint.h) over the canonical
 /// chain pipeline (expected clean) and over a deliberately bad plan —
 /// a pending narrow chain feeding two consumers without Cache() (MS001)
-/// and a repartition whose placement the next shuffle discards (MS002)
+/// and a partitionBy whose placement the next shuffle discards (MS002)
 /// — and prints both reports, demonstrating the diagnostic format
 /// without needing a dataset file.
 int RunLintDemo() {
@@ -315,9 +303,10 @@ int RunLintDemo() {
         return kv.second % 2 == 1;
       },
       "demo/odds");
-  // A repartition feeding only another shuffle, which discards its
+  // A partitionBy feeding only another shuffle, which discards its
   // placement: MS002.
-  auto placed = Union(evens, odds, "demo/union").Repartition(8, "demo/place");
+  auto placed = PartitionByKey(Union(evens, odds, "demo/union"), 8,
+                               "demo/place");
   auto grouped = GroupByKey(placed, 16, "demo/group");
   const std::vector<LintDiagnostic> bad = grouped.Lint();
   std::printf("demo bad plan:  %s", bad.empty()

@@ -71,22 +71,20 @@ class Context {
     /// adjacent target buckets whose combined serialized size stays
     /// within this target merge into one read task (contiguous ranges
     /// only, so key->partition contracts hold; see
-    /// PartitionRanges::Coalesce). Applies to the keyed wide operations
-    /// (PartitionByKey, GroupByKey, ReduceByKey, Join, CoGroup,
-    /// Distinct); Repartition and SortByKey keep their requested
-    /// partition count. 0 (default) = no coalescing.
+    /// PartitionRanges::Coalesce). Applies to every wide operation
+    /// (PartitionByKey, GroupByKey, ReduceByKey, Join, Distinct) on the
+    /// barrier path. 0 (default) = no coalescing.
     uint64_t target_partition_bytes = 0;
     /// AQE-style runtime skew splitting, the mirror image of coalescing:
     /// after a shuffle write, any single target bucket whose serialized
     /// size exceeds this cap is read by ceil(bytes / cap) slice tasks
     /// instead of one (see PartitionRanges::SplitOversized). Applies to
-    /// the hash-keyed wide operations (PartitionByKey, GroupByKey,
+    /// the single-input wide operations (PartitionByKey, GroupByKey,
     /// ReduceByKey, Distinct), where the reader refines the key hash so
-    /// every key stays whole within one slice; Join/CoGroup (two-sided
-    /// ranges), SortByKey (sorted partition order), Repartition
-    /// (placement-only) and pipelined exchanges are not split — the lint
-    /// check MS006 surfaces oversized un-split buckets there. 0
-    /// (default) = no splitting. The RANKJOIN_SPLIT_PARTITION_BYTES
+    /// every key stays whole within one slice; Join (two-sided ranges)
+    /// and pipelined exchanges are not split — the lint check MS006
+    /// surfaces oversized un-split buckets there. 0 (default) = no
+    /// splitting. The RANKJOIN_SPLIT_PARTITION_BYTES
     /// environment variable overrides this value when set — CI uses it
     /// to force the split path under the whole test suite.
     uint64_t split_partition_bytes = 0;
@@ -111,9 +109,6 @@ class Context {
     /// variable ("off"/"warn"/"error" or 0/1/2) overrides this value
     /// when set — CI uses it to run the whole suite in error mode.
     LintLevel lint_level = LintLevel::kOff;
-    /// MS003 threshold: broadcasts with a driver-side size estimate
-    /// above this many bytes are flagged.
-    uint64_t lint_broadcast_max_bytes = 64ull << 20;
     /// Fault tolerance (fault.h): how many times one task is RE-run
     /// after a retryable failure (a throwing user lambda or an injected
     /// fault) before the stage fails. 0 = fail on the first error, like
@@ -126,15 +121,6 @@ class Context {
     /// retry_backoff_ms << k milliseconds (capped at 100 ms) before
     /// re-running. 0 = retry immediately.
     int retry_backoff_ms = 2;
-    /// Opt-in straggler mitigation: when > 0 and at least half of a
-    /// stage's tasks have finished, any task still running after
-    /// speculation_multiplier × (median completed attempt time) gets a
-    /// speculative duplicate launch — first finisher wins, the loser's
-    /// result is discarded. Only stages submitted through
-    /// RunStageIsolated (whose tasks buffer into attempt-local state and
-    /// commit atomically) speculate; 0 (default) disables. Spark's
-    /// spark.speculation.multiplier.
-    double speculation_multiplier = 0.0;
     /// Deterministic fault-injection spec (grammar in fault.h), e.g.
     /// "task_throw:p=0.05;spill_corrupt:p=0.1;seed=42". Empty (default)
     /// = no injection. The RANKJOIN_FAULT_SPEC environment variable
@@ -154,11 +140,6 @@ class Context {
     /// RANKJOIN_PIPELINED_STAGES environment variable ("0"/"1"/"on"/
     /// "off") overrides this value when set.
     bool pipelined_stages = false;
-    /// Bounded publish window of a pipelined exchange: map task m blocks
-    /// at publish time while m >= lowest-unconsumed-mapper + depth, which
-    /// caps how far producers run ahead of consumers. 0 (default) = auto
-    /// (max(4, num_workers)).
-    int pipelined_queue_depth = 0;
     /// Live telemetry exposition (telemetry.h / stats_server.h): when
     /// >= 0, the context starts a background resource sampler and an
     /// embedded HTTP server on 127.0.0.1:<stats_port> serving Prometheus
@@ -227,11 +208,10 @@ class Context {
   }
   LintLevel lint_level() const { return options_.lint_level; }
   bool pipelined_stages() const { return options_.pipelined_stages; }
-  /// The resolved publish-window depth (>= 1) of pipelined exchanges.
+  /// Publish window of a pipelined exchange: map task m blocks at
+  /// publish time while m >= lowest-unconsumed-mapper + depth, which
+  /// caps how far producers run ahead of consumers. max(4, num_workers).
   int pipelined_queue_depth() const {
-    if (options_.pipelined_queue_depth > 0) {
-      return options_.pipelined_queue_depth;
-    }
     return options_.num_workers > 4 ? options_.num_workers : 4;
   }
 
@@ -241,7 +221,6 @@ class Context {
     LintSettings settings;
     settings.shuffle_memory_budget_bytes =
         options_.shuffle_memory_budget_bytes;
-    settings.broadcast_max_bytes = options_.lint_broadcast_max_bytes;
     settings.split_partition_bytes = options_.split_partition_bytes;
     settings.broadcasts = broadcasts_;
     return settings;
@@ -381,13 +360,6 @@ class Context {
   }
 
   using TaskFn = std::function<void(int)>;
-  /// Task form for stages that support speculative duplicates: the body
-  /// computes into attempt-local state and returns a commit thunk; the
-  /// engine invokes exactly one winning attempt's thunk (or none, when
-  /// the body returns null). Closures passed here must be
-  /// self-contained (capture by value / shared_ptr): a losing duplicate
-  /// can still be running when the stage returns.
-  using IsolatedTaskFn = std::function<std::function<void()>(int)>;
 
   /// Executes `num_tasks` tasks of a named stage on the pool, blocking
   /// until all complete. `task(i)` runs for every i in [0, num_tasks);
@@ -404,19 +376,12 @@ class Context {
   /// StageMetrics::status carries the FIRST such error and the remaining
   /// tasks are cancelled. Retried tasks re-run from their start, so task
   /// bodies must be idempotent up to their own writes (the engine's call
-  /// sites reset per-task output state at attempt entry). This entry
-  /// point never speculates.
+  /// sites reset per-task output state at attempt entry). A task's
+  /// attempts run one after another on one worker, and every attempt
+  /// has finished when RunStage returns, so `task` may capture by
+  /// reference.
   StageMetrics RunStage(const std::string& name, int num_tasks,
                         const TaskFn& task);
-
-  /// RunStage for isolated tasks (see IsolatedTaskFn): same retry
-  /// semantics, plus opt-in speculative execution of stragglers when
-  /// Options::speculation_multiplier > 0 — the duplicate emits a
-  /// "task-speculative" span and counts in
-  /// StageMetrics::speculative_launches; whichever attempt finishes
-  /// first commits, the loser's buffered writes are dropped.
-  StageMetrics RunStageIsolated(const std::string& name, int num_tasks,
-                                const IsolatedTaskFn& task);
 
   /// Stores a completed stage record in the job metrics.
   void AddStage(StageMetrics stage) { metrics_.AddStage(std::move(stage)); }
@@ -430,7 +395,7 @@ class Context {
 
   /// Creates a broadcast variable and registers its driver-side size
   /// estimate (ApproxSize) with the plan linter: broadcasts above
-  /// Options::lint_broadcast_max_bytes raise MS003. `name` labels the
+  /// LintSettings::broadcast_max_bytes raise MS003. `name` labels the
   /// broadcast in diagnostics.
   template <typename T>
   Broadcast<T> MakeBroadcast(T value, const std::string& name = "broadcast") {
@@ -447,21 +412,9 @@ class Context {
   /// >= 0). Bind failures warn and leave the server off.
   void StartStatsExposition();
 
-  /// Both RunStage entry points funnel here.
-  StageMetrics RunStageImpl(const std::string& name, int num_tasks,
-                            const IsolatedTaskFn& task, bool speculatable);
-
-  /// The per-task attempt loop (retry, cancellation, fault injection,
-  /// win-by-CAS commit). Runs on a pool worker.
-  void RunTaskAttempts(const std::shared_ptr<StageExec>& ex, int index,
-                       bool speculative);
-
-  /// Driver-side straggler scan; launches speculative duplicates.
-  /// Expects ex->mu held — StageExec is incomplete here so the
-  /// annotation language cannot name ex->mu in a REQUIRES; the
-  /// definition asserts the capability instead (sync.h, AssertHeld).
-  void MaybeLaunchSpeculative(const std::shared_ptr<StageExec>& ex,
-                              int num_tasks);
+  /// The per-task attempt loop (retry, cancellation, fault injection).
+  /// Runs on a pool worker.
+  void RunTaskAttempts(StageExec* ex, int index);
 
   Options options_;
   JobMetrics metrics_;
@@ -487,8 +440,8 @@ class Context {
   std::chrono::steady_clock::time_point start_time_;
   /// Set iff Options::checkpoint_dir non-empty.
   std::unique_ptr<CheckpointManager> checkpoint_manager_;
-  /// Stages completed by RunStageImpl — the proc_kill_after chaos
-  /// site's trigger count.
+  /// Stages completed by RunStage — the proc_kill_after chaos site's
+  /// trigger count.
   std::atomic<int64_t> stages_completed_{0};
   /// Guards lazy creation of the spill directory and the file counter.
   Mutex spill_mutex_;
@@ -502,8 +455,8 @@ class Context {
   std::vector<LintDiagnostic> lint_report_;
   std::unordered_set<std::string> lint_seen_;
   /// Declared LAST: destroying the pool joins the workers, which must
-  /// happen while everything a straggling speculative loser may still
-  /// touch (tracer_, counters_, the spill directory) is alive.
+  /// happen while everything a task may still touch (telemetry_,
+  /// tracer_, counters_, the spill directory) is alive.
   ThreadPool pool_;
 };
 

@@ -22,13 +22,12 @@ std::string PartsStr(const PlanNode* node) {
   return " [" + std::to_string(node->num_partitions) + " partitions]";
 }
 
-/// A shuffle whose only effect is data placement: its output rows are
-/// its input rows, so a directly following shuffle discards everything
-/// it did. Aggregating / joining wide ops are excluded — a shuffle
-/// after a join is a new data movement, not a redundant one.
+/// A shuffle whose only effect is data placement (partitionBy): its
+/// output rows are its input rows, so a directly following shuffle
+/// discards everything it did. A join is excluded — a shuffle after a
+/// join is a new data movement, not a redundant one.
 bool IsPlacementOnlyShuffle(const PlanNode* node) {
-  return node->kind == PlanNode::Kind::kWide &&
-         (node->op == "partitionBy" || node->op == "repartition");
+  return node->kind == PlanNode::Kind::kWide && node->op == "partitionBy";
 }
 
 /// Topological order with every node AFTER all of its ancestors
@@ -110,7 +109,7 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
     for (const auto& parent : node->parents) ++consumers[parent.get()];
   }
 
-  // MS001 — multi-consumer pending lineage without Cache()/Persist().
+  // MS001 — multi-consumer pending lineage without Cache().
   // `lazy` nodes re-execute per consumer; materialized sources, wide
   // outputs, and Cache() pins are marked lazy=false at construction.
   for (const PlanNode* node : topo) {
@@ -123,7 +122,7 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
       d.location = Loc(node);
       d.message = "pending chain '" + Loc(node) + "' feeds " +
                   std::to_string(it->second) +
-                  " consumers without Cache()/Persist(); every consumer "
+                  " consumers without Cache(); every consumer "
                   "re-executes the chain from its last barrier";
       diags.push_back(std::move(d));
     }
@@ -204,8 +203,8 @@ std::vector<LintDiagnostic> LintPlan(const PlanNode* root,
                 std::to_string(b.approx_bytes) +
                 " bytes, above the configured limit of " +
                 std::to_string(settings.broadcast_max_bytes) +
-                " (lint_broadcast_max_bytes); consider a shuffle join "
-                "instead of replicating it to every task";
+                " (LintSettings::broadcast_max_bytes); consider a shuffle "
+                "join instead of replicating it to every task";
     diags.push_back(std::move(d));
   }
 

@@ -85,8 +85,8 @@ struct LintDiagnostic {
 ///   MS001 (error)   multi-consumer pending lineage without Cache() —
 ///                   each consumer re-executes the chain.
 ///   MS002 (warning) back-to-back shuffles: a placement-only shuffle
-///                   (partitionBy / repartition) whose only consumer is
-///                   another shuffle that discards its partitioning.
+///                   (partitionBy) whose only consumer is another
+///                   shuffle that discards its partitioning.
 ///   MS003 (warning) broadcast above settings.broadcast_max_bytes.
 ///   MS004 (error)   shuffle of a record type with no usable Serde<T>
 ///                   while a spill budget is set (cannot spill).

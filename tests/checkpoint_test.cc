@@ -20,7 +20,6 @@
 #include "minispark/checkpoint.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/plan.h"
 #include "tests/test_util.h"
 
@@ -316,12 +315,12 @@ TEST(CheckpointResumeTest, WideOpsRestoreAcrossContexts) {
     auto left = Parallelize(ctx, IntPairs(200, 17), 8);
     auto right = Parallelize(ctx, IntPairs(150, 17), 4);
     auto joined = *Join(left, right, 8).TryCollect();
-    auto sorted =
-        *SortByKey(Parallelize(ctx, IntPairs(300, 23), 8), 8).TryCollect();
-    auto repart = *Parallelize(ctx, std::vector<int>{1, 2, 3, 4, 5}, 4)
-                       .Repartition(2)
-                       .TryCollect();
-    return std::make_tuple(joined, sorted, repart);
+    auto grouped =
+        *GroupByKey(Parallelize(ctx, IntPairs(300, 23), 8), 8).TryCollect();
+    auto distinct =
+        *Distinct(Parallelize(ctx, std::vector<int>{1, 2, 3, 2, 5, 1}, 4), 2)
+             .TryCollect();
+    return std::make_tuple(joined, grouped, distinct);
   };
 
   decltype(job(nullptr)) first;

@@ -5,15 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +18,6 @@
 #include "jaccard/jaccard_join.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/shuffle.h"
 #include "tests/test_util.h"
 
@@ -59,14 +55,11 @@ TEST(FaultSpecTest, EmptyIsAllOff) {
 }
 
 TEST(FaultSpecTest, FullGrammar) {
-  Result<FaultSpec> spec = ParseFaultSpec(
-      "task_throw:p=0.05;spill_corrupt:p=0.1;task_delay:p=0.02,ms=200;"
-      "seed=7");
+  Result<FaultSpec> spec =
+      ParseFaultSpec("task_throw:p=0.05;spill_corrupt:p=0.1;seed=7");
   ASSERT_TRUE(spec.ok());
   EXPECT_DOUBLE_EQ(spec->task_throw_p, 0.05);
   EXPECT_DOUBLE_EQ(spec->spill_corrupt_p, 0.1);
-  EXPECT_DOUBLE_EQ(spec->task_delay_p, 0.02);
-  EXPECT_EQ(spec->task_delay_ms, 200);
   EXPECT_EQ(spec->seed, 7u);
   EXPECT_TRUE(spec->Any());
 }
@@ -75,6 +68,11 @@ TEST(FaultSpecTest, Errors) {
   EXPECT_FALSE(ParseFaultSpec("task_throw:p=1.5").ok());   // p out of range
   EXPECT_FALSE(ParseFaultSpec("task_throw:p=nope").ok());  // bad number
   EXPECT_FALSE(ParseFaultSpec("gremlins:p=0.5").ok());     // unknown fault
+  const Result<FaultSpec> delay = ParseFaultSpec("task_delay:p=0.02,ms=200");
+  ASSERT_FALSE(delay.ok());  // no longer a fault kind
+  EXPECT_EQ(delay.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(delay.status().message().find("unknown fault 'task_delay'"),
+            std::string::npos);
   EXPECT_FALSE(ParseFaultSpec("task_throw:q=0.5").ok());   // unknown key
   EXPECT_FALSE(ParseFaultSpec("seed=abc").ok());           // bad seed
 }
@@ -428,6 +426,22 @@ TEST(SpillRecoveryTest, NoRecoveryRegisteredIsNonRetryable) {
                NonRetryableError);
 }
 
+/// A shuffle record whose move constructor throws once while armed.
+/// The shuffle read moves each record into its output partition, so the
+/// throw lands after the task has started consuming its buckets.
+struct FlakyMoveRecord {
+  static inline std::atomic<bool> armed{false};
+
+  int value = 0;
+
+  explicit FlakyMoveRecord(int v) : value(v) {}
+  FlakyMoveRecord(const FlakyMoveRecord&) = default;
+  FlakyMoveRecord& operator=(const FlakyMoveRecord&) = default;
+  FlakyMoveRecord(FlakyMoveRecord&& other) : value(other.value) {
+    if (armed.exchange(false)) throw std::runtime_error("move failed once");
+  }
+};
+
 TEST(SpillRecoveryTest, MidConsumptionReadFailureIsNotRetried) {
   PinnedEnv env;
   Context::Options options = TestCluster();
@@ -436,20 +450,17 @@ TEST(SpillRecoveryTest, MidConsumptionReadFailureIsNotRetried) {
   options.trace_level = TraceLevel::kCounters;
   Context ctx(options);
   const int buckets = 4;
-  auto service = WriteTestShuffle(&ctx, buckets);
-  auto post_calls = std::make_shared<std::atomic<int>>(0);
+  ShuffleService<FlakyMoveRecord> service(&ctx, 1, buckets);
+  for (int i = 0; i < 400; ++i) service.Add(0, i % buckets, FlakyMoveRecord(i));
+  service.FinishWrite();
+  // The read fails only on its first move: a retry of the consuming
+  // task would then "succeed" — silently re-emitting moved-from
+  // residue — so the failure must be permanent.
+  FlakyMoveRecord::armed = true;
   Status status;
-  internal::ShuffleRead(
-      &ctx, service.get(), PartitionRanges::Identity(buckets), "t", &status,
-      [post_calls](int p, std::vector<IntPair>*) {
-        // A post fn that fails only on its first call: a retry of the
-        // consuming task would then "succeed" — silently re-emitting
-        // moved-from residue — so the failure must be permanent.
-        if (p == 0 && post_calls->fetch_add(1) == 0) {
-          throw std::runtime_error("post failed once");
-        }
-      },
-      "post");
+  internal::ShuffleRead(&ctx, &service, PartitionRanges::Identity(buckets),
+                        "t", &status);
+  FlakyMoveRecord::armed = false;
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not retryable"), std::string::npos);
   EXPECT_EQ(ctx.counters().Value("fault.task.retried"), 0u);
@@ -500,104 +511,6 @@ TEST(SpillRecoveryTest, UnwritableSpillDirDegradesToResident) {
   EXPECT_TRUE(ctx.spill_degraded());
   EXPECT_GE(ctx.counters().Value("fault.spill.degraded"), 1u);
   std::filesystem::remove(blocker);
-}
-
-// ---------------------------------------------------------------------
-// Speculative execution
-// ---------------------------------------------------------------------
-
-TEST(SpeculationTest, DuplicateLaunchesAndExactlyOneCommitWins) {
-  PinnedEnv env;
-  Context::Options options = TestCluster(4, 8);
-  options.speculation_multiplier = 2.0;
-  Context ctx(options);
-  constexpr int kTasks = 8;
-  auto commits = std::make_shared<std::array<std::atomic<int>, kTasks>>();
-  auto straggles = std::make_shared<std::atomic<int>>(0);
-  StageMetrics stage = ctx.RunStageIsolated(
-      "speculate", kTasks, [commits, straggles](int i) {
-        // Task 3's FIRST attempt straggles; its speculative duplicate
-        // (and every other task) is fast.
-        if (i == 3 && straggles->fetch_add(1) == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-        return [commits, i]() {
-          (*commits)[static_cast<size_t>(i)].fetch_add(1);
-        };
-      });
-  EXPECT_TRUE(stage.status.ok());
-  EXPECT_GE(stage.speculative_launches, 1u);
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ((*commits)[static_cast<size_t>(i)].load(), 1)
-        << "task " << i << " must commit exactly once";
-  }
-}
-
-TEST(SpeculationTest, OffByDefault) {
-  PinnedEnv env;
-  Context ctx(TestCluster(4, 8));
-  auto slow = std::make_shared<std::atomic<int>>(0);
-  StageMetrics stage =
-      ctx.RunStageIsolated("no-speculation", 8, [slow](int i) {
-        if (i == 0 && slow->fetch_add(1) == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        return []() {};
-      });
-  EXPECT_TRUE(stage.status.ok());
-  EXPECT_EQ(stage.speculative_launches, 0u);
-}
-
-TEST(SpeculationTest, InjectedDelayTriggersSpeculation) {
-  PinnedEnv env;
-  Context::Options options = TestCluster(4, 8);
-  options.speculation_multiplier = 2.0;
-  options.fault_spec = "task_delay:p=1,ms=150";
-  Context ctx(options);
-  // Every attempt sleeps an injected 150 ms before its body, so the
-  // second wave of primaries visibly straggles while the first wave's
-  // fast medians are already in. The straggler scan must see delayed
-  // tasks as started (first_start_us is stamped BEFORE the injected
-  // delay), or task_delay could never feed speculative execution.
-  StageMetrics stage =
-      ctx.RunStageIsolated("delayed", 8, [](int) { return []() {}; });
-  EXPECT_TRUE(stage.status.ok());
-  EXPECT_GE(stage.speculative_launches, 1u);
-}
-
-TEST(SpeculationTest, StragglingLoserNeverCommitsAfterStageFailure) {
-  PinnedEnv env;
-  Context::Options options = TestCluster(4, 8);
-  options.speculation_multiplier = 2.0;
-  auto commits = std::make_shared<std::atomic<int>>(0);
-  auto invocations = std::make_shared<std::atomic<int>>(0);
-  Status status;
-  {
-    Context ctx(options);
-    StageMetrics stage = ctx.RunStageIsolated(
-        "fail-primary", 8,
-        [commits, invocations](int i) -> std::function<void()> {
-          if (i != 3) return []() {};
-          if (invocations->fetch_add(1) == 0) {
-            // Primary: straggle long enough for the duplicate to
-            // launch, then fail permanently.
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-            throw NonRetryableError(Status::Internal("primary died"));
-          }
-          // Speculative duplicate: outlive the stage barrier, then try
-          // to commit.
-          std::this_thread::sleep_for(std::chrono::milliseconds(500));
-          return [commits]() { commits->fetch_add(1); };
-        });
-    status = stage.status;
-    // ~Context drains the still-straggling duplicate before `commits`
-    // is inspected.
-  }
-  EXPECT_FALSE(status.ok());
-  // The failed primary claimed the slot, so the duplicate's late commit
-  // must have been dropped — running it here would race the driver,
-  // which returned from the stage barrier long before.
-  EXPECT_EQ(commits->load(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -676,22 +589,6 @@ TEST(ChaosTest, JaccardPipelinesAreByteIdenticalUnderInjection) {
     EXPECT_EQ(PairSet(clean->pairs), PairSet(chaos->pairs)) << label;
     ExpectChaosActivity(chaos_ctx, label);
   }
-}
-
-TEST(ChaosTest, SortByKeyStaysSortedUnderInjection) {
-  PinnedEnv env;
-  const auto run = [](const std::string& fault_spec) {
-    Context ctx(ChaosCluster(fault_spec));
-    std::vector<IntPair> data;
-    for (int i = 0; i < 500; ++i) data.push_back({(i * 37) % 101, i});
-    return *SortByKey(Parallelize(&ctx, std::move(data), 8), 8).TryCollect();
-  };
-  const auto clean = run("");
-  const auto chaos = run(kChaosSpec);
-  EXPECT_EQ(clean, chaos);
-  EXPECT_TRUE(std::is_sorted(
-      clean.begin(), clean.end(),
-      [](const IntPair& a, const IntPair& b) { return a.first < b.first; }));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "core/similarity_join.h"
 #include "join/rs_join.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "minispark/serde.h"
 #include "test_util.h"
 
@@ -196,7 +195,7 @@ TEST(LintCheckTest, Ms007NotRaisedForMultiConsumerOrRootCache) {
 TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
   Context ctx(LintCluster());
   auto ds = Parallelize(&ctx, MakeKv(64), 4);
-  auto placed = ds.Repartition(8, "fixture/place");
+  auto placed = PartitionByKey(ds, 8, "fixture/place");
   auto grouped = GroupByKey(placed, 16, "fixture/group");
   std::vector<LintDiagnostic> diags = grouped.Lint();
   ASSERT_EQ(diags.size(), 1u);
@@ -207,7 +206,7 @@ TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
             std::string::npos);
 
   // Same partition count is still redundant placement, different text.
-  auto same = GroupByKey(ds.Repartition(8, "fixture/place8"), 8,
+  auto same = GroupByKey(PartitionByKey(ds, 8, "fixture/place8"), 8,
                          "fixture/group8");
   std::vector<LintDiagnostic> same_diags = Only(same.Lint(), "MS002");
   ASSERT_EQ(same_diags.size(), 1u);
@@ -219,13 +218,15 @@ TEST(LintCheckTest, Ms002RedundantBackToBackShuffles) {
 }
 
 TEST(LintCheckTest, Ms003OversizedBroadcast) {
-  Context::Options options = LintCluster();
-  options.lint_broadcast_max_bytes = 64;
-  Context ctx(options);
+  Context ctx(LintCluster());
   ctx.MakeBroadcast(std::vector<uint64_t>(64), "fixture/bigBroadcast");
   ctx.MakeBroadcast(uint64_t{7}, "fixture/smallBroadcast");
   auto ds = Parallelize(&ctx, MakeKv(16), 2);
-  std::vector<LintDiagnostic> diags = ds.Lint();
+  // Neither broadcast comes near the 64 MiB default limit.
+  EXPECT_TRUE(Only(ds.Lint(), "MS003").empty());
+  LintSettings tight = ctx.lint_settings();
+  tight.broadcast_max_bytes = 64;
+  std::vector<LintDiagnostic> diags = LintPlan(ds.plan_node().get(), tight);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "MS003");
   EXPECT_EQ(diags[0].severity, LintSeverity::kWarning);
@@ -252,6 +253,8 @@ struct NoSerdeRecord {
 
 static_assert(!has_serde_v<NoSerdeRecord>,
               "fixture type must not be serializable");
+static_assert(!has_serde_v<std::pair<uint32_t, NoSerdeRecord>>,
+              "a pair with a serde-less member must not be serializable");
 static_assert(has_serde_v<std::pair<uint32_t, std::string>>,
               "covered composites must stay serializable");
 
@@ -259,9 +262,10 @@ TEST(LintCheckTest, Ms004SerdelessShuffleUnderSpillBudget) {
   Context::Options options = LintCluster();
   options.shuffle_memory_budget_bytes = 1 << 20;
   Context ctx(options);
-  std::vector<NoSerdeRecord> records(32, NoSerdeRecord{"x"});
+  std::vector<std::pair<uint32_t, NoSerdeRecord>> records;
+  for (uint32_t i = 0; i < 32; ++i) records.push_back({i, NoSerdeRecord{"x"}});
   auto ds = Parallelize(&ctx, records, 4);
-  auto placed = ds.Repartition(8, "fixture/place");
+  auto placed = PartitionByKey(ds, 8, "fixture/place");
   std::vector<LintDiagnostic> diags = placed.Lint();
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "MS004");
@@ -379,7 +383,7 @@ TEST(LintCollectTest, ErrorModeAllowsWarningSeverity) {
   auto ds = Parallelize(&ctx, MakeKv(64), 4);
   // MS002 is warning severity: recorded, but the job still runs.
   auto grouped =
-      GroupByKey(ds.Repartition(8, "fixture/place"), 16, "fixture/group");
+      GroupByKey(PartitionByKey(ds, 8, "fixture/place"), 16, "fixture/group");
   EXPECT_EQ(grouped.Collect().size(), 16u);
   ASSERT_EQ(ctx.lint_report().size(), 1u);
   EXPECT_EQ(ctx.lint_report()[0].code, "MS002");
@@ -413,7 +417,8 @@ TEST(LintExplainTest, ExplainDotEmbedsDiagnosticsAndStaysValidDot) {
   Context ctx(LintCluster(LintLevel::kWarn));
   auto bad = MultiConsumerPlan(&ctx, /*fixed=*/false);
   auto grouped =
-      GroupByKey(bad.Repartition(8, "fixture/place"), 16, "fixture/group");
+      GroupByKey(PartitionByKey(bad, 8, "fixture/place"), 16,
+                 "fixture/group");
   const std::string dot = grouped.ExplainDot();
   EXPECT_EQ(dot.rfind("digraph plan {", 0), 0u);
   EXPECT_EQ(dot.substr(dot.size() - 2), "}\n");

@@ -115,16 +115,6 @@ TEST(DatasetTest, MapPartitionsSeesWholePartition) {
   EXPECT_EQ(std::accumulate(collected.begin(), collected.end(), 0), 36);
 }
 
-TEST(DatasetTest, RepartitionPreservesElements) {
-  Context ctx(SmallCluster());
-  auto ds = Parallelize(&ctx, Iota(10), 2);
-  auto re = ds.Repartition(5);
-  EXPECT_EQ(re.num_partitions(), 5);
-  auto collected = re.Collect();
-  std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(collected, Iota(10));
-}
-
 TEST(DatasetTest, MaxPartitionSizeReportsSkew) {
   Context ctx(SmallCluster());
   auto parts = std::make_shared<Dataset<int>::Partitions>(
@@ -210,29 +200,6 @@ TEST(KeyValueTest, JoinMatchesKeys) {
   }
   EXPECT_EQ(key2, 1);
   EXPECT_EQ(key3, 2);
-}
-
-TEST(KeyValueTest, CoGroupIncludesUnmatchedKeys) {
-  Context ctx(SmallCluster());
-  std::vector<std::pair<int, int>> left = {{1, 10}, {2, 20}};
-  std::vector<std::pair<int, int>> right = {{2, 200}, {3, 300}};
-  auto l = Parallelize(&ctx, left, 2);
-  auto r = Parallelize(&ctx, right, 2);
-  auto cg = CoGroup(l, r, 2);
-  auto collected = cg.Collect();
-  ASSERT_EQ(collected.size(), 3u);
-  for (const auto& [k, lists] : collected) {
-    if (k == 1) {
-      EXPECT_EQ(lists.first.size(), 1u);
-      EXPECT_TRUE(lists.second.empty());
-    } else if (k == 2) {
-      EXPECT_EQ(lists.first.size(), 1u);
-      EXPECT_EQ(lists.second.size(), 1u);
-    } else {
-      EXPECT_TRUE(lists.first.empty());
-      EXPECT_EQ(lists.second.size(), 1u);
-    }
-  }
 }
 
 TEST(KeyValueTest, DistinctRemovesDuplicates) {

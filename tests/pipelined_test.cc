@@ -17,7 +17,6 @@
 #include "jaccard/jaccard_join.h"
 #include "minispark/context.h"
 #include "minispark/dataset.h"
-#include "minispark/extra_ops.h"
 #include "tests/test_util.h"
 
 namespace rankjoin::minispark {
@@ -113,38 +112,6 @@ TEST(PipelinedOpTest, JoinIdentical) {
     auto left = Parallelize(ctx, IntPairs(200, 17), 8);
     auto right = Parallelize(ctx, IntPairs(150, 17), 4);
     return *Join(left, right, 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, CoGroupIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    auto left = Parallelize(ctx, IntPairs(200, 9), 8);
-    auto right = Parallelize(ctx, IntPairs(120, 9), 4);
-    return *CoGroup(left, right, 8).TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, RepartitionIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    std::vector<int> data;
-    for (int i = 0; i < 500; ++i) data.push_back(i);
-    return *Parallelize(ctx, std::move(data), 16)
-                .Repartition(5)
-                .TryCollect();
-  });
-  EXPECT_EQ(barrier, pipelined);
-}
-
-TEST(PipelinedOpTest, SortByKeyIdentical) {
-  PinnedEnv env;
-  auto [barrier, pipelined] = RunBothModes([](Context* ctx) {
-    std::vector<std::pair<int, int>> data;
-    for (int i = 0; i < 400; ++i) data.push_back({(i * 37) % 101, i});
-    return *SortByKey(Parallelize(ctx, std::move(data), 8), 8).TryCollect();
   });
   EXPECT_EQ(barrier, pipelined);
 }
@@ -278,10 +245,10 @@ TEST(PipelinedOptionsTest, QueueDepthResolvesToWorkerFloor) {
   Context::Options options = TestCluster(/*workers=*/2);
   options.pipelined_stages = true;
   Context ctx(options);
-  EXPECT_GE(ctx.pipelined_queue_depth(), 4);  // max(4, num_workers)
-  options.pipelined_queue_depth = 9;
-  Context explicit_ctx(options);
-  EXPECT_EQ(explicit_ctx.pipelined_queue_depth(), 9);
+  EXPECT_EQ(ctx.pipelined_queue_depth(), 4);  // max(4, num_workers)
+  options.num_workers = 6;
+  Context wide_ctx(options);
+  EXPECT_EQ(wide_ctx.pipelined_queue_depth(), 6);
 }
 
 }  // namespace
