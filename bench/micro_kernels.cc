@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "data/generator.h"
+#include "join/distance_policy.h"
 #include "join/local_join.h"
 #include "ranking/footrule.h"
 #include "ranking/prefix.h"
@@ -155,6 +156,32 @@ void BM_LocalPrefixJoin(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LocalPrefixJoin)->Range(64, 1024)->Complexity();
+
+/// The pipelines' kernel: the same prefix-index join over the same
+/// groups, keyed by the groups' item, so the owner rule and the
+/// prefix-penalty bound run (local_join.h GroupKey). Item 0 comes first
+/// in canonical order here, so every pair is owned and nothing is
+/// bounded away: the row prices the keyed bookkeeping per candidate.
+void BM_OwnedGroupJoin(benchmark::State& state) {
+  auto [backing, group] = MakeGroup(static_cast<size_t>(state.range(0)), 10);
+  const uint32_t raw_theta = RawThreshold(0.2, 10);
+  const int prefix_size = OverlapPrefix(raw_theta, 10);
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    std::vector<ScoredPair> out;
+    JoinStats stats;
+    PrefixIndexJoin<FootrulePolicy>(group, raw_theta, prefix_size,
+                                    /*position_filter=*/true, &out, &stats,
+                                    GroupKey{/*item=*/0});
+    candidates += stats.candidates;
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["ns_per_candidate"] = benchmark::Counter(
+      static_cast<double>(candidates),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_OwnedGroupJoin)->Range(64, 1024)->Complexity();
 
 }  // namespace
 }  // namespace rankjoin

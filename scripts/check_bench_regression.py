@@ -29,7 +29,9 @@ Two classes of checks:
 
 Modes:
   check (default)      exit 1 on any violation
-  --refresh            overwrite BASELINE with CANDIDATE and exit 0
+  --refresh            overwrite BASELINE with the fields of CANDIDATE
+                       the checks read (label, timings, stable counters,
+                       the planner's pick) and exit 0
   --inject-slowdown F  multiply candidate times by F before checking
                        (CI uses 2.0 to prove the gate actually fails)
 
@@ -41,7 +43,6 @@ Refreshing a committed baseline (after an intentional perf change):
 
 import argparse
 import json
-import shutil
 import sys
 
 TIME_FIELDS = ("wall_seconds", "measured_makespan_s")
@@ -106,6 +107,19 @@ def stable_counters(row):
         for name, value in row.get("counters", {}).items()
         if not name.startswith(VOLATILE_COUNTER_PREFIXES)
     }
+
+
+def gated_fields(row):
+    """The part of a row the checks read; --refresh writes only this."""
+    kept = {"label": row.get("label", "?")}
+    for field in TIME_FIELDS:
+        if field in row:
+            kept[field] = row[field]
+    kept["counters"] = stable_counters(row)
+    algorithm = row.get("plan", {}).get("algorithm")
+    if algorithm is not None:
+        kept["plan"] = {"algorithm": algorithm}
+    return kept
 
 
 def check_exact(key, base, cand, failures):
@@ -203,9 +217,12 @@ def main():
     if args.refresh:
         # Validate before overwriting: a candidate with malformed rows
         # must not become the committed baseline.
-        load_rows(args.candidate, "candidate")
+        rows = load_rows(args.candidate, "candidate")
         try:
-            shutil.copyfile(args.candidate, args.baseline)
+            with open(args.baseline, "w", encoding="utf-8") as f:
+                for row in rows.values():
+                    f.write(json.dumps(gated_fields(row),
+                                       separators=(",", ":")) + "\n")
         except OSError as e:
             raise SystemExit(
                 f"cannot refresh baseline {args.baseline}: {e}") from e

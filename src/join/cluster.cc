@@ -216,17 +216,25 @@ std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
   minispark::Dataset<PostingGroup> groups = minispark::GroupByKey(
       postings, spec.num_partitions, names + "centroidJoin/groupByItem");
 
+  // Every pair is verified only in the list that owns it (local_join.h
+  // GroupKey), so the centroid pairs come out distinct. The penalty
+  // bound holds whatever the two prefix sizes, so it covers the mixed
+  // centroid/singleton prefixes too.
   const bool position_filter = spec.position_filter;
   LocalJoinFn local_join = [thresholds, position_filter](
+                               ItemId item,
                                const std::vector<PrefixPosting>& group,
                                std::vector<ScoredPair>* out, JoinStats* s) {
-    NestedLoopJoin<P>(group, thresholds, position_filter, out, s);
+    NestedLoopJoin<P>(group, thresholds, position_filter, out, s,
+                      GroupKey{item});
   };
   LocalRsJoinFn rs_join = [thresholds, position_filter](
+                              ItemId item,
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
-    NestedLoopJoinRS<P>(left, right, thresholds, position_filter, out, s);
+    NestedLoopJoinRS<P>(left, right, thresholds, position_filter, out, s,
+                        GroupKey{item});
   };
 
   // Phase-local stats, published under the centroid join's own scope:
@@ -234,16 +242,14 @@ std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
   // thresholds of Lemma 5.1/5.3, the number the paper uses to argue the
   // cluster-level join is cheap relative to expansion.
   JoinStats phase_stats;
-  minispark::Dataset<ScoredPair> raw_pairs = JoinGroupsWithRepartitioning(
+  minispark::Dataset<ScoredPair> pairs = JoinGroupsWithRepartitioning(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats, spec.adaptive_repartition);
-  minispark::Dataset<ScoredPair> unique = minispark::Distinct(
-      raw_pairs, spec.num_partitions, names + "centroidJoin/distinct");
 
   std::unordered_set<RankingId> singleton_set(singletons.begin(),
                                               singletons.end());
   std::vector<BasicCentroidPair<Distance>> result;
-  for (const ScoredPair& sp : unique.Collect()) {
+  for (const ScoredPair& sp : pairs.Collect()) {
     BasicCentroidPair<Distance> cp;
     cp.ci = sp.first.first;
     cp.cj = sp.first.second;

@@ -1,7 +1,9 @@
 #ifndef RANKJOIN_JOIN_DISTANCE_POLICY_H_
 #define RANKJOIN_JOIN_DISTANCE_POLICY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 
 #include "jaccard/jaccard.h"
@@ -14,16 +16,6 @@
 
 namespace rankjoin {
 
-/// Which prefix derivation to use (paper Section 4).
-enum class PrefixMode {
-  /// Overlap-based prefix under the global frequency order — required
-  /// when rankings are reordered; the paper's default.
-  kOverlap,
-  /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
-  /// but fixes the prefix to the original top ranks.
-  kOrdered,
-};
-
 /// Compile-time distance policies. The VJ and CL pipelines (vj.h,
 /// cluster.h, cluster_join.h) are templates over one of these; CL needs
 /// nothing from the distance beyond the metric axioms (paper Section 8),
@@ -35,6 +27,9 @@ enum class PrefixMode {
 ///     size that makes prefix filtering complete;
 ///   - `PositionFilterPasses`: the rank-difference filter (a no-op where
 ///     ranks carry no information);
+///   - `PrefixPenalty`/`PairLowerBound`: the prefix-penalty lower bound
+///     the keyed group joins apply before verifying (local_join.h
+///     GroupKey);
 ///   - `Verify`: the bounded distance kernel, which counts `verified`
 ///     and `verify_passed` and returns the pair's score — the value
 ///     ScoredPair carries — when the pair qualifies; `FromScore` turns a
@@ -70,6 +65,29 @@ struct FootrulePolicy {
     return VerifyPair(a, b, theta, stats);
   }
   static Distance FromScore(uint32_t score, int /*k*/) { return score; }
+  /// pen of the prefix-penalty bound (see GroupKey): the Footrule cost
+  /// of the prefix entries before the key at `key_pos`, which the owner
+  /// group's partner lacks (overlap prefix: k - rank each) or ranks
+  /// outside its prefix (ordered prefix of size p: p - rank each).
+  static uint32_t PrefixPenalty(const OrderedRanking& r, uint32_t key_pos,
+                                const GroupKey& key) {
+    uint32_t penalty = 0;
+    for (uint32_t t = 0; t < key_pos; ++t) {
+      const int rank = r.canonical[t].rank;
+      if (key.mode == PrefixMode::kOverlap) {
+        penalty += static_cast<uint32_t>(r.k - rank);
+      } else if (rank < key.prefix_size) {
+        penalty += static_cast<uint32_t>(key.prefix_size - rank);
+      }
+    }
+    return penalty;
+  }
+  /// Lower bound of d(a, b) in the group that owns the pair.
+  static Bound PairLowerBound(uint32_t penalty_a, uint32_t penalty_b,
+                              int key_rank_a, int key_rank_b, int /*k*/) {
+    return static_cast<Bound>(penalty_a) + penalty_b +
+           std::abs(key_rank_a - key_rank_b);
+  }
   static bool Within(Bound d, Distance theta) {
     return d <= static_cast<Bound>(theta);
   }
@@ -116,6 +134,21 @@ struct JaccardPolicy {
   static Distance FromScore(uint32_t score, int k) {
     return JaccardDistanceFromOverlap(static_cast<int>(score), k);
   }
+  /// In the group that owns a pair, the `key_pos` entries before the
+  /// key are all missing from the partner (see GroupKey), so the overlap
+  /// is at most k - max(key_pos_a, key_pos_b). Sets use the overlap
+  /// prefix only; the ordered mode gets no penalty.
+  static uint32_t PrefixPenalty(const OrderedRanking& /*r*/,
+                                uint32_t key_pos, const GroupKey& key) {
+    return key.mode == PrefixMode::kOverlap ? key_pos : 0;
+  }
+  /// The distance at that largest overlap; Exceeds pads it by kMargin.
+  static Bound PairLowerBound(uint32_t penalty_a, uint32_t penalty_b,
+                              int /*key_rank_a*/, int /*key_rank_b*/,
+                              int k) {
+    return JaccardDistanceFromOverlap(
+        k - static_cast<int>(std::max(penalty_a, penalty_b)), k);
+  }
   static bool Within(Bound d, Distance theta) { return d <= theta + kMargin; }
   static bool Exceeds(Bound lower, Distance theta) {
     return lower > theta + kMargin;
@@ -133,6 +166,7 @@ struct UniformThreshold {
   Distance For(const PrefixPosting& /*a*/, const PrefixPosting& /*b*/) const {
     return theta;
   }
+  Distance Max() const { return theta; }
 };
 
 /// Pair threshold under Lemma 5.3, selected by the singleton flags.
@@ -159,6 +193,8 @@ struct MixedThresholds {
     if (a.singleton || b.singleton) return ms;
     return mm;
   }
+  /// The largest pair threshold, for the keyed kernels' early stop.
+  Distance Max() const { return std::max({mm, ms, ss}); }
 };
 
 }  // namespace rankjoin

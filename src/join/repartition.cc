@@ -59,7 +59,7 @@ minispark::Dataset<ScoredPair> JoinGroups(
         // Retry hygiene: a re-run attempt starts its stat slot from zero.
         local = JoinStats();
         for (const PostingGroup& group : part) {
-          local_join(group.second, &out, &local);
+          local_join(group.first, group.second, &out, &local);
         }
         return out;
       },
@@ -167,7 +167,7 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
             // Retry hygiene: a re-run attempt starts its stat slot from zero.
             local = JoinStats();
             for (const auto& kv : part) {
-              local_join(kv.second.postings, &out, &local);
+              local_join(kv.first.first, kv.second.postings, &out, &local);
             }
             return out;
           },
@@ -202,8 +202,8 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
             // Retry hygiene: a re-run attempt starts its stat slot from zero.
             local = JoinStats();
             for (const auto& jp : part) {
-              rs_join(jp.second.first.postings, jp.second.second.postings,
-                      &out, &local);
+              rs_join(jp.first, jp.second.first.postings,
+                      jp.second.second.postings, &out, &local);
             }
             return out;
           },

@@ -16,14 +16,18 @@ namespace rankjoin {
 /// and the rankings whose prefix contains it.
 using PostingGroup = std::pair<ItemId, std::vector<PrefixPosting>>;
 
-/// Self-join kernel applied to one posting list.
-using LocalJoinFn = std::function<void(const std::vector<PrefixPosting>&,
-                                       std::vector<ScoredPair>*, JoinStats*)>;
+/// Self-join kernel applied to one posting list (or one sub-partition
+/// of it), given the list's key item.
+using LocalJoinFn =
+    std::function<void(ItemId, const std::vector<PrefixPosting>&,
+                       std::vector<ScoredPair>*, JoinStats*)>;
 
-/// R-S join kernel applied to a pair of sub-partitions of one list.
+/// R-S join kernel applied to a pair of sub-partitions of one list,
+/// given the list's key item.
 using LocalRsJoinFn = std::function<void(
-    const std::vector<PrefixPosting>&, const std::vector<PrefixPosting>&,
-    std::vector<ScoredPair>*, JoinStats*)>;
+    ItemId, const std::vector<PrefixPosting>&,
+    const std::vector<PrefixPosting>&, std::vector<ScoredPair>*,
+    JoinStats*)>;
 
 /// Runs `local_join` over every posting group (the plain VJ reduce step).
 /// Per-partition statistics are merged into `stats`.
@@ -38,6 +42,9 @@ minispark::Dataset<ScoredPair> JoinGroups(
 /// is joined with `rs_join` after a Spark-style self-join on the item
 /// id. Sub-partition work is spread over `num_partitions * 2` partitions
 /// (the paper increases the partition count to redistribute load).
+/// Every pair of a split list meets in exactly one chunk join, so a
+/// kernel that verifies each pair once per list still does after the
+/// split.
 ///
 /// Lists of size <= delta take the plain JoinGroups path. With
 /// delta == 0 this degrades to JoinGroups exactly.

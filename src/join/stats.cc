@@ -7,6 +7,8 @@ namespace rankjoin {
 
 void JoinStats::MergeCounters(const JoinStats& other) {
   candidates += other.candidates;
+  bound_filtered += other.bound_filtered;
+  owner_skipped += other.owner_skipped;
   position_filtered += other.position_filtered;
   triangle_filtered += other.triangle_filtered;
   verified += other.verified;
@@ -24,6 +26,8 @@ void JoinStats::PublishCounters(minispark::CounterRegistry* registry,
                                 const std::string& prefix) const {
   if (registry == nullptr || !registry->enabled()) return;
   registry->Add(prefix + ".candidates", candidates);
+  registry->Add(prefix + ".bound_filtered", bound_filtered);
+  registry->Add(prefix + ".owner_skipped", owner_skipped);
   registry->Add(prefix + ".position_filtered", position_filtered);
   registry->Add(prefix + ".triangle_filtered", triangle_filtered);
   registry->Add(prefix + ".verified", verified);
@@ -33,7 +37,8 @@ void JoinStats::PublishCounters(minispark::CounterRegistry* registry,
 
 std::string JoinStats::ToString() const {
   std::ostringstream os;
-  os << "candidates=" << candidates
+  os << "candidates=" << candidates << " bound_filtered=" << bound_filtered
+     << " owner_skipped=" << owner_skipped
      << " position_filtered=" << position_filtered
      << " triangle_filtered=" << triangle_filtered
      << " verified=" << verified

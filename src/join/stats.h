@@ -37,8 +37,20 @@ using ScoredPair = std::pair<ResultPair, uint32_t>;
 /// synchronized) CounterRegistry.
 struct JoinStats {
   /// Candidate pairs produced by the index / nested loop before any
-  /// distance computation (after prefix grouping, before filters).
+  /// distance computation (after prefix grouping, before filters). The
+  /// posting-group joins visit each group's postings in ascending
+  /// prefix penalty and stop a row once the penalties alone exceed the
+  /// threshold (local_join.h GroupKey); pairs past that stop are not
+  /// counted. In a posting-group join every candidate lands in exactly
+  /// one of the next four counters and `verified`:
+  ///   candidates == bound_filtered + owner_skipped + position_filtered
+  ///                 + verified.
   uint64_t candidates = 0;
+  /// Candidates removed by the prefix-penalty lower bound.
+  uint64_t bound_filtered = 0;
+  /// Candidates skipped because another posting group owns the pair
+  /// (it shares a prefix item that precedes this group's key).
+  uint64_t owner_skipped = 0;
   /// Candidates removed by the position filter.
   uint64_t position_filtered = 0;
   /// Candidates removed by triangle-inequality bounds (CL expansion).
@@ -47,8 +59,8 @@ struct JoinStats {
   uint64_t verified = 0;
   /// Verification calls whose distance qualified (<= theta). The
   /// difference verified - verify_passed is the price of imperfect
-  /// filtering; verify_passed + emitted_unverified ~ result pairs
-  /// before dedup.
+  /// filtering. The posting-group joins verify each pair once, so their
+  /// verify_passed counts distinct pairs.
   uint64_t verify_passed = 0;
   /// Pairs emitted without a distance computation because a metric upper
   /// bound already guaranteed qualification (CL expansion shortcut).

@@ -81,26 +81,13 @@ std::vector<std::pair<ItemId, PrefixPosting>> EmitPrefix(
     const OrderedRanking& ranking, int prefix_size, PrefixMode mode,
     bool singleton) {
   std::vector<std::pair<ItemId, PrefixPosting>> out;
-  const size_t p =
-      std::min(static_cast<size_t>(prefix_size), ranking.canonical.size());
-  out.reserve(p);
-  if (mode == PrefixMode::kOverlap) {
-    // First p entries in canonical (frequency) order.
-    for (size_t t = 0; t < p; ++t) {
-      const ItemEntry& e = ranking.canonical[t];
-      out.push_back({e.item, PrefixPosting{ranking.id, e.rank, singleton,
-                                           &ranking}});
-    }
-  } else {
-    // Ordered prefix (Lemma 4.1): the best-ranked p items, regardless of
-    // canonical position.
-    for (const ItemEntry& e : ranking.canonical) {
-      if (e.rank < p) {
-        out.push_back({e.item, PrefixPosting{ranking.id, e.rank, singleton,
-                                             &ranking}});
-      }
-    }
-  }
+  out.reserve(static_cast<size_t>(prefix_size));
+  ForEachPrefixEntry(ranking, mode, prefix_size,
+                     [&](size_t /*t*/, const ItemEntry& e) {
+                       out.push_back({e.item, PrefixPosting{ranking.id, e.rank,
+                                                            singleton,
+                                                            &ranking}});
+                     });
   return out;
 }
 
@@ -125,27 +112,35 @@ std::vector<ScoredPair> DistributedSelfJoin(
 
   const Distance theta = spec.raw_theta;
   const bool position_filter = spec.position_filter;
+  const PrefixMode mode = spec.prefix_mode;
+  // Every kernel gets its list's key, so each pair is verified only in
+  // the list that owns it (local_join.h GroupKey) and the pairs come
+  // out distinct without a dedup shuffle.
   LocalJoinFn local_join;
   if (spec.local_algorithm == LocalAlgorithm::kPrefixIndex) {
-    local_join = [theta, prefix_size, position_filter](
-                     const std::vector<PrefixPosting>& group,
+    local_join = [theta, prefix_size, position_filter, mode](
+                     ItemId item, const std::vector<PrefixPosting>& group,
                      std::vector<ScoredPair>* out, JoinStats* s) {
-      PrefixIndexJoin<P>(group, theta, prefix_size, position_filter, out, s);
+      PrefixIndexJoin<P>(group, theta, prefix_size, position_filter, out, s,
+                         GroupKey{item, mode, prefix_size});
     };
   } else {
-    local_join = [theta, position_filter](
-                     const std::vector<PrefixPosting>& group,
+    local_join = [theta, prefix_size, position_filter, mode](
+                     ItemId item, const std::vector<PrefixPosting>& group,
                      std::vector<ScoredPair>* out, JoinStats* s) {
       NestedLoopJoin<P>(group, UniformThreshold<Distance>{theta},
-                        position_filter, out, s);
+                        position_filter, out, s,
+                        GroupKey{item, mode, prefix_size});
     };
   }
-  LocalRsJoinFn rs_join = [theta, position_filter](
+  LocalRsJoinFn rs_join = [theta, prefix_size, position_filter, mode](
+                              ItemId item,
                               const std::vector<PrefixPosting>& left,
                               const std::vector<PrefixPosting>& right,
                               std::vector<ScoredPair>* out, JoinStats* s) {
     NestedLoopJoinRS<P>(left, right, UniformThreshold<Distance>{theta},
-                        position_filter, out, s);
+                        position_filter, out, s,
+                        GroupKey{item, mode, prefix_size});
   };
 
   // Phase-local stats: the local joins accumulate into per-partition
@@ -155,14 +150,11 @@ std::vector<ScoredPair> DistributedSelfJoin(
   // scope, no matter who embeds the self-join (VJ driver, CL
   // clustering).
   JoinStats phase_stats;
-  minispark::Dataset<ScoredPair> raw_pairs = JoinGroupsWithRepartitioning(
-      groups, spec.repartition_delta, spec.num_partitions, local_join,
-      rs_join, &phase_stats, spec.adaptive_repartition);
-  // Final phase of VJ: remove the duplicates produced by rankings that
-  // share several prefix items.
-  minispark::Dataset<ScoredPair> unique = minispark::Distinct(
-      raw_pairs, spec.num_partitions, names + "selfJoin/distinct");
-  std::vector<ScoredPair> collected = unique.Collect();
+  std::vector<ScoredPair> collected =
+      JoinGroupsWithRepartitioning(groups, spec.repartition_delta,
+                                   spec.num_partitions, local_join, rs_join,
+                                   &phase_stats, spec.adaptive_repartition)
+          .Collect();
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", collected.size());
   stats->MergeCounters(phase_stats);

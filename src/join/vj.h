@@ -52,7 +52,9 @@ struct VjOptions {
 
 /// Runs the Vernica-Join adaptation for top-k rankings (paper Section 4)
 /// as a minispark pipeline: frequency ordering, prefix flat-map,
-/// group-by-item, per-group local join, global deduplication.
+/// group-by-item, per-group local join. Each pair is verified only in
+/// the posting list that owns it (local_join.h GroupKey), so the pairs
+/// come out distinct without the paper's final distinct.
 Result<JoinResult> RunVjJoin(minispark::Context* ctx,
                              const RankingDataset& dataset,
                              const VjOptions& options);
@@ -104,7 +106,7 @@ struct BasicSelfJoinSpec {
 using SelfJoinSpec = BasicSelfJoinSpec<uint32_t>;
 
 /// Distributed self-join over `subset` (pointers must stay valid for the
-/// duration of the call) under distance policy `P`. Returns deduplicated
+/// duration of the call) under distance policy `P`. Returns the distinct
 /// scored pairs within spec.raw_theta.
 template <typename P = FootrulePolicy>
 std::vector<ScoredPair> DistributedSelfJoin(

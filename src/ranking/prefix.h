@@ -5,6 +5,18 @@
 
 namespace rankjoin {
 
+/// Which prefix derivation to use (paper Section 4).
+enum class PrefixMode {
+  /// Overlap-based prefix under the global frequency order — required
+  /// when rankings are reordered; the paper's default. The prefix of
+  /// size p is the first p entries in canonical order.
+  kOverlap,
+  /// Ordered prefix of Lemma 4.1 (best-ranked items); slightly tighter
+  /// but fixes the prefix to the original top ranks: the prefix of size
+  /// p is the entries with rank < p.
+  kOrdered,
+};
+
 /// Prefix-size derivations for top-k rankings under the Footrule distance
 /// (paper Section 4). All thresholds are raw (integer) distances; see
 /// RawThreshold() in footrule.h for normalization.

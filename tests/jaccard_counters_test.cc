@@ -29,7 +29,7 @@ TEST(JaccardCountersTest, VjCountersArePinned) {
   ASSERT_TRUE(result.ok()) << result.status();
   const JoinStats& s = result->stats;
   EXPECT_EQ(s.candidates, 2632u);
-  EXPECT_EQ(s.verified, 2632u);
+  EXPECT_EQ(s.verified, 2419u);
   EXPECT_EQ(s.triangle_filtered, 0u);
   EXPECT_EQ(s.emitted_unverified, 0u);
   EXPECT_EQ(s.clusters, 0u);
@@ -44,7 +44,7 @@ TEST(JaccardCountersTest, ClusterJoinCountersArePinned) {
   ASSERT_TRUE(result.ok()) << result.status();
   const JoinStats& s = result->stats;
   EXPECT_EQ(s.candidates, 2677u);
-  EXPECT_EQ(s.verified, 2677u);
+  EXPECT_EQ(s.verified, 2470u);
   EXPECT_EQ(s.triangle_filtered, 0u);
   EXPECT_EQ(s.emitted_unverified, 72u);
   EXPECT_EQ(s.clusters, 31u);

@@ -327,6 +327,9 @@ TEST(LintCheckTest, Ms006OversizedUnsplitShuffleBucket) {
   // env override is pinned: CI's adaptive job would otherwise enable
   // splitting and silence the diagnostic.
   ScopedEnv split_env("RANKJOIN_SPLIT_PARTITION_BYTES", nullptr);
+  // The bucket sizes are measured at the barrier; pipelined stages
+  // stream buckets and record none.
+  ScopedEnv pipelined_env("RANKJOIN_PIPELINED_STAGES", nullptr);
   Context ctx(LintCluster());
   std::vector<Kv> skewed(64, Kv{1, 1});  // every record on one key
   auto grouped = PartitionByKey(Parallelize(&ctx, skewed, 4), 8,

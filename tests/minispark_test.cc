@@ -10,6 +10,7 @@
 
 #include "minispark/metrics.h"
 #include "minispark/partitioner.h"
+#include "tests/test_util.h"
 
 namespace rankjoin::minispark {
 namespace {
@@ -350,6 +351,9 @@ TEST(LazyTest, CopiedHandlesShareMaterialization) {
 }
 
 TEST(LazyTest, NarrowChainFusesIntoShuffleWrite) {
+  // The "shuffleWrite" label is the barrier-mode stage's; pin the CI
+  // jobs' pipelined override off.
+  testutil::ScopedEnv pipelined("RANKJOIN_PIPELINED_STAGES", nullptr);
   Context ctx(SmallCluster());
   ctx.metrics().Clear();
   auto keyed = Parallelize(&ctx, Iota(20), 2).Map(

@@ -50,7 +50,8 @@ struct GroupsFixture {
 
   LocalJoinFn JoinFn() {
     LocalJoinOptions captured = options;
-    return [captured](const std::vector<PrefixPosting>& group,
+    return [captured](ItemId /*item*/,
+                      const std::vector<PrefixPosting>& group,
                       std::vector<ScoredPair>* out, JoinStats* stats) {
       LocalNestedLoopJoin(group, captured, out, stats);
     };
@@ -58,7 +59,7 @@ struct GroupsFixture {
 
   LocalRsJoinFn RsFn() {
     LocalJoinOptions captured = options;
-    return [captured](const std::vector<PrefixPosting>& left,
+    return [captured](ItemId /*item*/, const std::vector<PrefixPosting>& left,
                       const std::vector<PrefixPosting>& right,
                       std::vector<ScoredPair>* out, JoinStats* stats) {
       LocalNestedLoopJoinRS(left, right, captured, out, stats);

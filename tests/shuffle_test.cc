@@ -292,6 +292,9 @@ TEST(PipelineSpillTest, JaccardPipelinesIdenticalUnderSpill) {
 // ---------------------------------------------------------------------
 
 TEST(CoalesceTest, SmallShuffleCollapsesReadTasks) {
+  // Coalescing is a barrier-mode feature (pipelined stages stream
+  // their buckets); pin the CI jobs' pipelined override off.
+  testutil::ScopedEnv pipelined("RANKJOIN_PIPELINED_STAGES", nullptr);
   Context::Options options = TestCluster(/*workers=*/4, /*partitions=*/16);
   options.target_partition_bytes = 1 << 20;  // far above the data size
   Context ctx(options);
@@ -317,6 +320,9 @@ TEST(CoalesceTest, SmallShuffleCollapsesReadTasks) {
 }
 
 TEST(CoalesceTest, DistinctHeavyJobUsesFewerReadTasks) {
+  // Coalescing is a barrier-mode feature (pipelined stages stream
+  // their buckets); pin the CI jobs' pipelined override off.
+  testutil::ScopedEnv pipelined("RANKJOIN_PIPELINED_STAGES", nullptr);
   // The acceptance scenario: a Distinct-heavy job with a byte target
   // reports coalesced partitions and fewer read tasks than
   // default_partitions.
@@ -368,6 +374,9 @@ TEST(CoalesceTest, GroupByKeyUnaffectedByDefault) {
 }
 
 TEST(CoalesceTest, PipelineResultsUnchangedUnderCoalescing) {
+  // Coalescing is a barrier-mode feature (pipelined stages stream
+  // their buckets); pin the CI jobs' pipelined override off.
+  testutil::ScopedEnv pipelined("RANKJOIN_PIPELINED_STAGES", nullptr);
   const RankingDataset ds = SmallSkewedDataset(79, 250);
   SimilarityJoinConfig config;
   config.algorithm = Algorithm::kCLP;
