@@ -14,10 +14,15 @@
 // --k is inferred from the file header). Output: "id1 id2" lines
 // sorted by pair.
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <system_error>
 
 #include "core/similarity_join.h"
 #include "data/io.h"
@@ -68,6 +73,25 @@ void Usage(const char* argv0) {
       argv0);
 }
 
+/// Parses the whole of `text` as a T in [lo, hi]. std::from_chars
+/// takes no leading space, '+' or trailing characters, and an unsigned
+/// T takes no '-'. On failure prints a message naming `flag` and exits 2.
+template <typename T>
+T ParseNumber(const char* flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // Written as !(in range) so that a NaN is rejected too.
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    std::fprintf(stderr, "%s: expected a number in %s, got '%s'\n", flag,
+                 range.str().c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,17 +132,19 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--algorithm")) {
       algorithm = next("--algorithm");
     } else if (!std::strcmp(argv[i], "--k")) {
-      k = std::atoi(next("--k"));
+      k = ParseNumber("--k", next("--k"), 1, 65535);
     } else if (!std::strcmp(argv[i], "--theta")) {
-      theta = std::atof(next("--theta"));
+      theta = ParseNumber("--theta", next("--theta"), 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--theta-c")) {
-      theta_c = std::atof(next("--theta-c"));
+      theta_c = ParseNumber("--theta-c", next("--theta-c"), 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--delta")) {
-      delta = std::strtoull(next("--delta"), nullptr, 10);
+      delta = ParseNumber("--delta", next("--delta"), uint64_t{0},
+                          UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--partitions")) {
-      partitions = std::atoi(next("--partitions"));
+      partitions = ParseNumber("--partitions", next("--partitions"), 1,
+                               1 << 20);
     } else if (!std::strcmp(argv[i], "--workers")) {
-      workers = std::atoi(next("--workers"));
+      workers = ParseNumber("--workers", next("--workers"), 1, 1024);
     } else if (!std::strcmp(argv[i], "--stats")) {
       print_stats = true;
     } else if (!std::strcmp(argv[i], "--metrics")) {
@@ -126,7 +152,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--trace-out")) {
       trace_out = next("--trace-out");
     } else if (!std::strcmp(argv[i], "--stats-port")) {
-      stats_port = std::atoi(next("--stats-port"));
+      stats_port =
+          ParseNumber("--stats-port", next("--stats-port"), 0, 65535);
     } else if (!std::strcmp(argv[i], "--lint")) {
       lint = true;
     } else if (!std::strcmp(argv[i], "--mmap")) {
@@ -138,7 +165,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume = true;
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      deadline_ms = std::strtoll(next("--deadline-ms"), nullptr, 10);
+      deadline_ms = ParseNumber("--deadline-ms", next("--deadline-ms"), 0LL,
+                                LLONG_MAX);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       Usage(argv[0]);

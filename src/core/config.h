@@ -62,13 +62,6 @@ struct SimilarityJoinConfig {
   /// keeps clusters overlapping; see ClOptions::resolve_overlaps).
   bool resolve_overlaps = false;
 
-  /// Measure posting-list sizes after the group-by materializes and
-  /// engage Algorithm-3 repartitioning only when the largest list
-  /// exceeds delta — CL upgrades itself to CL-P mid-job instead of
-  /// unconditionally splitting. Set by the kAuto planner for CL plans;
-  /// requires delta > 0 to have any effect.
-  bool adaptive_repartition = false;
-
   /// Checks parameter ranges and algorithm-specific requirements for a
   /// dataset with rankings of length `k`.
   Status Validate(int k) const;

@@ -32,13 +32,10 @@ ClOptions ToClOptions(const SimilarityJoinConfig& config) {
   options.singleton_optimization = config.singleton_optimization;
   options.triangle_upper_shortcut = config.triangle_upper_shortcut;
   options.resolve_overlaps = config.resolve_overlaps;
-  // CL-P splits unconditionally; CL splits only in adaptive mode, where
-  // the measured posting lists decide (repartition.h).
+  // Only CL-P splits, and only the posting lists measured over delta
+  // (repartition.h); CL ignores delta.
   options.repartition_delta =
-      config.algorithm == Algorithm::kCLP || config.adaptive_repartition
-          ? config.delta
-          : 0;
-  options.adaptive_repartition = config.adaptive_repartition;
+      config.algorithm == Algorithm::kCLP ? config.delta : 0;
   return options;
 }
 

@@ -97,11 +97,17 @@ Result<RankingDataset> ReadRankings(const std::string& path, int k) {
 }
 
 Status WriteRankings(const std::string& path, const RankingDataset& dataset) {
+  // Validate() also keeps store() from reading a short ranking.
+  RANKJOIN_RETURN_NOT_OK(dataset.Validate());
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  for (const Ranking& r : dataset.rankings) {
-    out << r.id() << ':';
-    for (ItemId item : r.items()) out << ' ' << item;
+  // From the store, not `rankings`: mmap-loaded datasets have only the
+  // store.
+  const FlatRankings& flat = dataset.store();
+  for (size_t i = 0; i < flat.size(); ++i) {
+    const RankingView v = flat.view(i);
+    out << v.id << ':';
+    for (uint32_t r = 0; r < v.k; ++r) out << ' ' << v.items[r];
     out << '\n';
   }
   if (!out) return Status::IoError("short write to " + path);

@@ -26,7 +26,8 @@ namespace rankjoin {
 /// Reads a dataset; every ranking must have exactly `k` distinct items.
 Result<RankingDataset> ReadRankings(const std::string& path, int k);
 
-/// Writes a dataset in the same format.
+/// Writes a dataset in the same format; rejects one that fails
+/// Validate(), which ReadRankings could not read back.
 Status WriteRankings(const std::string& path, const RankingDataset& dataset);
 
 /// Preprocesses raw set records into top-k rankings the way the paper

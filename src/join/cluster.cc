@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "join/local_join.h"
 #include "join/repartition.h"
+#include "join/stat_slots.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
 #include "ranking/prefix.h"
@@ -113,14 +114,11 @@ Clustering RunRandomCentroidClustering(
       ctx->MakeBroadcast(std::move(centroid_rankings), "cl/centroids");
   minispark::Dataset<const OrderedRanking*> rankings =
       minispark::Parallelize(ctx, all, ctx->default_partitions());
-  std::vector<JoinStats> slots(
-      static_cast<size_t>(rankings.num_partitions()));
-  auto assignments = rankings.MapPartitionsWithIndex(
-      [centroids_bc, raw_theta_c, &slots](
-          int index, const std::vector<const OrderedRanking*>& part) {
-        JoinStats& local = slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
+  JoinStats assign_stats;
+  auto assignments = MapPartitionsWithStats(
+      rankings,
+      [centroids_bc, raw_theta_c](
+          const std::vector<const OrderedRanking*>& part, JoinStats* local) {
         // (centroid id, member id, distance); centroid id == member id
         // encodes "no centroid in range".
         std::vector<ClusterPair> out;
@@ -134,11 +132,11 @@ Clustering RunRandomCentroidClustering(
               best = 0;
               break;
             }
-            ++local.candidates;
+            ++local->candidates;
             if (auto d = VerifyPair(*r, *centroid,
                                     best == raw_theta_c + 1 ? raw_theta_c
                                                             : best - 1,
-                                    &local)) {
+                                    local)) {
               assignment = ClusterPair{centroid->id, r->id, *d};
               best = *d;
               if (best == 0) break;
@@ -148,12 +146,7 @@ Clustering RunRandomCentroidClustering(
         }
         return out;
       },
-      "randomClustering/assign");
-  // Force the assignment stage before reading the per-partition stat
-  // slots (lazy execution defers the lambda until materialization).
-  assignments.Cache();
-  JoinStats assign_stats;
-  for (const JoinStats& s : slots) assign_stats.MergeCounters(s);
+      "randomClustering/assign", &assign_stats);
   assign_stats.PublishCounters(&ctx->counters(), "cl.randomClustering");
   stats->MergeCounters(assign_stats);
 
@@ -244,7 +237,7 @@ std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
   JoinStats phase_stats;
   minispark::Dataset<ScoredPair> pairs = JoinGroupsWithRepartitioning(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
-      rs_join, &phase_stats, spec.adaptive_repartition);
+      rs_join, &phase_stats);
 
   std::unordered_set<RankingId> singleton_set(singletons.begin(),
                                               singletons.end());

@@ -96,11 +96,9 @@ struct BasicCentroidJoinSpec {
   /// When false, every centroid is treated as non-singleton and the full
   /// theta + 2*theta_c threshold applies to all pairs (plain Lemma 5.1).
   bool singleton_optimization = true;
-  /// Algorithm-3 partitioning threshold; 0 disables.
+  /// Algorithm-3 partitioning threshold: lists measured over it are
+  /// split (JoinGroupsWithRepartitioning); 0 disables.
   uint64_t repartition_delta = 0;
-  /// Engage repartitioning only when measured skew demands it (see
-  /// ClOptions::adaptive_repartition).
-  bool adaptive_repartition = false;
   /// Counter namespace of the phase's filter counters.
   std::string counter_scope = "cl.centroidJoin";
   /// Prepended to every stage name (see BasicSelfJoinSpec).

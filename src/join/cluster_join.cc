@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "join/cluster.h"
+#include "join/stat_slots.h"
 #include "join/verify.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
@@ -84,11 +85,6 @@ void EmitWithTriangleBounds(const ExpansionContext<P>& ectx, RankingId a,
           .has_value()) {
     out->push_back(MakeResultPair(a, b));
   }
-}
-
-/// Merges the per-partition stat slots into the accumulator.
-void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
-  for (const JoinStats& s : slots) stats->MergeCounters(s);
 }
 
 /// Keeps only each member's closest cluster pair (ties by smaller
@@ -184,40 +180,29 @@ std::vector<ResultPair> RunExpansion(
   minispark::Dataset<std::pair<RankingId, std::vector<Member>>>
       grouped_clusters = minispark::GroupByKey(
           clusters, num_partitions, names + "expand/groupClusters");
-  std::vector<JoinStats> intra_slots(
-      static_cast<size_t>(grouped_clusters.num_partitions()));
-  minispark::Dataset<ResultPair> intra =
-      grouped_clusters.MapPartitionsWithIndex(
-          [ectx, &intra_slots](
-              int index,
-              const std::vector<std::pair<RankingId, std::vector<Member>>>&
-                  part) {
-            std::vector<ResultPair> out;
-            JoinStats& local = intra_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& [centroid, members] : part) {
-              for (const Member& m : members) {
-                out.push_back(MakeResultPair(centroid, m.first));
-              }
-              for (size_t i = 0; i + 1 < members.size(); ++i) {
-                for (size_t j = i + 1; j < members.size(); ++j) {
-                  const Bound sum = static_cast<Bound>(members[i].second) +
-                                    static_cast<Bound>(members[j].second);
-                  EmitWithTriangleBounds(ectx, members[i].first,
-                                         members[j].first,
-                                         /*lower_bound=*/Bound{0}, sum, &out,
-                                         &local);
-                }
-              }
+  minispark::Dataset<ResultPair> intra = MapPartitionsWithStats(
+      grouped_clusters,
+      [ectx](const std::vector<std::pair<RankingId, std::vector<Member>>>&
+                 part,
+             JoinStats* local) {
+        std::vector<ResultPair> out;
+        for (const auto& [centroid, members] : part) {
+          for (const Member& m : members) {
+            out.push_back(MakeResultPair(centroid, m.first));
+          }
+          for (size_t i = 0; i + 1 < members.size(); ++i) {
+            for (size_t j = i + 1; j < members.size(); ++j) {
+              const Bound sum = static_cast<Bound>(members[i].second) +
+                                static_cast<Bound>(members[j].second);
+              EmitWithTriangleBounds(ectx, members[i].first, members[j].first,
+                                     /*lower_bound=*/Bound{0}, sum, &out,
+                                     local);
             }
-            return out;
-          },
-          names + "expand/intraCluster");
-  // Stat slots are filled when the chain runs — force it first.
-  // Force(), not Cache(): single downstream consumer (MS007).
-  intra.Force();
-  MergeSlots(intra_slots, &expansion_stats);
+          }
+        }
+        return out;
+      },
+      names + "expand/intraCluster", &expansion_stats);
 
   // R_m: centroid pairs with at least one non-singleton side need to be
   // joined with the clusters (Algorithm 2 lines 3-8).
@@ -236,53 +221,39 @@ std::vector<ResultPair> RunExpansion(
 
   // One membership direction of R_m,c: members of one centroid against
   // the OTHER centroid of the pair, bounded by |d(ci,cj) - d(c,m)| and
-  // d(ci,cj) + d(c,m). `slots` outlives the stage (it lives in this
-  // frame), like every other stat-slot vector here.
+  // d(ci,cj) + d(c,m).
   using Joined = std::pair<RankingId, std::pair<CPair, Member>>;
   auto expand_members = [&](const minispark::Dataset<Joined>& joined,
-                            bool against_cj, const std::string& name,
-                            std::vector<JoinStats>* slots) {
-    slots->resize(static_cast<size_t>(joined.num_partitions()));
-    minispark::Dataset<ResultPair> result = joined.MapPartitionsWithIndex(
-        [ectx, against_cj, slots](int index, const std::vector<Joined>& part) {
+                            bool against_cj, const std::string& name) {
+    return MapPartitionsWithStats(
+        joined,
+        [ectx, against_cj](const std::vector<Joined>& part, JoinStats* local) {
           std::vector<ResultPair> out;
-          JoinStats& local = (*slots)[static_cast<size_t>(index)];
-          // Retry hygiene: a re-run attempt starts its stat slot from zero.
-          local = JoinStats();
           for (const auto& [centroid, rec] : part) {
             const CPair& cp = rec.first;
             const Member& m = rec.second;
             const Bound dij = static_cast<Bound>(cp.distance);
             const Bound dm = static_cast<Bound>(m.second);
             EmitWithTriangleBounds(ectx, m.first, against_cj ? cp.cj : cp.ci,
-                                   std::abs(dij - dm), dij + dm, &out,
-                                   &local);
+                                   std::abs(dij - dm), dij + dm, &out, local);
           }
           return out;
         },
-        name);
-    // Force (not Cache) before reading the stat slots: single consumer.
-    result.Force();
-    MergeSlots(*slots, &expansion_stats);
-    return result;
+        name, &expansion_stats);
   };
-  std::vector<JoinStats> j1_slots;
-  std::vector<JoinStats> j2_slots;
 
   // Members of ci against cj (R_m,c, first direction).
   auto j1 = minispark::Join(rm_by_ci, clusters, num_partitions,
                             names + "expand/joinMembersCi");
   minispark::Dataset<ResultPair> rm_c1 =
-      expand_members(j1, /*against_cj=*/true, names + "expand/membersCi",
-                     &j1_slots);
+      expand_members(j1, /*against_cj=*/true, names + "expand/membersCi");
 
   // Members of cj against ci (R_m,c, second direction — the "switched
   // centroids" join of Example 5.4).
   auto j2 = minispark::Join(rm_by_cj, clusters, num_partitions,
                             names + "expand/joinMembersCj");
   minispark::Dataset<ResultPair> rm_c2 =
-      expand_members(j2, /*against_cj=*/false, names + "expand/membersCj",
-                     &j2_slots);
+      expand_members(j2, /*against_cj=*/false, names + "expand/membersCj");
 
   // Members of ci against members of cj (R_m,m): re-key the first join
   // by the second centroid and join with the clusters again.
@@ -293,18 +264,12 @@ std::vector<ResultPair> RunExpansion(
       names + "expand/rekeyByCj");
   auto jmm = minispark::Join(j1_by_cj, clusters, num_partitions,
                              names + "expand/joinMembersBoth");
-  std::vector<JoinStats> jmm_slots(
-      static_cast<size_t>(jmm.num_partitions()));
-  minispark::Dataset<ResultPair> rm_m = jmm.MapPartitionsWithIndex(
-      [ectx, &jmm_slots](
-          int index,
-          const std::vector<std::pair<
-              RankingId, std::pair<std::pair<CPair, Member>, Member>>>&
-              part) {
+  minispark::Dataset<ResultPair> rm_m = MapPartitionsWithStats(
+      jmm,
+      [ectx](const std::vector<std::pair<
+                 RankingId, std::pair<std::pair<CPair, Member>, Member>>>& part,
+             JoinStats* local) {
         std::vector<ResultPair> out;
-        JoinStats& local = jmm_slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
         for (const auto& [cj, rec] : part) {
           const CPair& cp = rec.first.first;
           const Member& mi = rec.first.second;  // member of ci
@@ -315,14 +280,11 @@ std::vector<ResultPair> RunExpansion(
           const Bound upper = dij + static_cast<Bound>(mi.second) +
                               static_cast<Bound>(mj.second);
           EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
-                                 &out, &local);
+                                 &out, local);
         }
         return out;
       },
-      names + "expand/membersBoth");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  rm_m.Force();
-  MergeSlots(jmm_slots, &expansion_stats);
+      names + "expand/membersBoth", &expansion_stats);
 
   // Union everything and remove duplicates (Algorithm 2 line 9).
   minispark::Dataset<ResultPair> all = minispark::Union(
@@ -414,7 +376,6 @@ Result<JoinResult> RunClusterPipeline(minispark::Context* ctx,
   join_spec.position_filter = options.position_filter;
   join_spec.singleton_optimization = options.singleton_optimization;
   join_spec.repartition_delta = options.repartition_delta;
-  join_spec.adaptive_repartition = options.adaptive_repartition;
   join_spec.counter_scope = counter_scope + ".centroidJoin";
   join_spec.stage_prefix = stage_prefix;
   std::vector<BasicCentroidPair<Distance>> rj =

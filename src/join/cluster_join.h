@@ -46,13 +46,9 @@ struct ClOptions {
   /// guarantees d <= theta without computing the distance.
   bool triangle_upper_shortcut = true;
   /// Algorithm-3 partitioning threshold for the joining phase; > 0
-  /// turns CL into CL-P. 0 disables repartitioning.
+  /// turns CL into CL-P, which splits the posting lists measured over
+  /// it. 0 disables repartitioning.
   uint64_t repartition_delta = 0;
-  /// Engage Algorithm-3 repartitioning only when the measured largest
-  /// posting list exceeds delta — CL upgrades itself to CL-P mid-job
-  /// (see JoinGroupsWithRepartitioning's adaptive mode). Requires
-  /// repartition_delta > 0.
-  bool adaptive_repartition = false;
   /// Resolve overlapping cluster memberships: keep only the closest
   /// centroid per member (ties by smaller centroid id) before the
   /// expansion. The paper keeps clusters overlapping, arguing that

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "join/stat_slots.h"
 
 namespace rankjoin {
 namespace {
@@ -13,11 +14,6 @@ struct Chunk {
   uint32_t key = 0;
   std::vector<PrefixPosting> postings;
 };
-
-/// Merges per-partition stat slots into the caller's accumulator.
-void MergeSlots(const std::vector<JoinStats>& slots, JoinStats* stats) {
-  for (const JoinStats& s : slots) stats->MergeCounters(s);
-}
 
 }  // namespace
 
@@ -50,56 +46,46 @@ struct Serde<Chunk> {
 minispark::Dataset<ScoredPair> JoinGroups(
     const minispark::Dataset<PostingGroup>& groups, LocalJoinFn local_join,
     JoinStats* stats) {
-  std::vector<JoinStats> slots(
-      static_cast<size_t>(groups.num_partitions()));
-  minispark::Dataset<ScoredPair> result = groups.MapPartitionsWithIndex(
-      [local_join, &slots](int index, const std::vector<PostingGroup>& part) {
+  return MapPartitionsWithStats(
+      groups,
+      [local_join](const std::vector<PostingGroup>& part, JoinStats* local) {
         std::vector<ScoredPair> out;
-        JoinStats& local = slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
         for (const PostingGroup& group : part) {
-          local_join(group.first, group.second, &out, &local);
+          local_join(group.first, group.second, &out, local);
         }
         return out;
       },
-      "joinGroups");
-  // Force the fused chain before harvesting the per-partition stat
-  // slots: under lazy execution the local joins have not run until the
-  // dataset is materialized. Force(), not Cache(): the result has a
-  // single downstream consumer, so a cache pin would be wasted
-  // materialization (MS007).
-  result.Force();
-  MergeSlots(slots, stats);
-  return result;
+      "joinGroups", stats);
 }
 
 minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
     const minispark::Dataset<PostingGroup>& groups, uint64_t delta,
     int num_partitions, LocalJoinFn local_join, LocalRsJoinFn rs_join,
-    JoinStats* stats, bool adaptive) {
+    JoinStats* stats) {
   if (delta == 0) return JoinGroups(groups, std::move(local_join), stats);
 
-  // The grouped index feeds both the small and the large split below —
-  // materialize it once instead of re-running its pending chain per
-  // consumer.
-  groups.Cache();
-
-  if (adaptive) {
-    // Adaptive CL -> CL-P upgrade: measure the materialized posting
-    // lists and only pay for the repartitioning machinery (three extra
-    // shuffles) when one actually exceeds delta.
-    uint64_t max_list = 0;
-    for (const auto& part : groups.partitions()) {
-      for (const PostingGroup& g : part) {
-        max_list = std::max<uint64_t>(max_list, g.second.size());
-      }
+  // Materialize the posting lists and measure the longest: Algorithm 3
+  // only splits lists longer than delta, so without one the split stages
+  // would run over empty data. No Cache() pin yet — when nothing splits,
+  // the groups have a single consumer (MS007).
+  uint64_t max_list = 0;
+  for (const auto& part : groups.partitions()) {
+    for (const PostingGroup& g : part) {
+      max_list = std::max<uint64_t>(max_list, g.second.size());
     }
-    if (max_list <= delta) {
-      return JoinGroups(groups, std::move(local_join), stats);
-    }
-    groups.context()->counters().Add("repartition.skew_upgrades", 1);
   }
+  // The CL-P / repartitioning knobs of Algorithm 3, published globally
+  // (not per scope): how many oversized posting lists were split and how
+  // many chunk-pair R-S joins that cost (below).
+  minispark::CounterRegistry& counters = groups.context()->counters();
+  if (max_list <= delta) {
+    counters.Add("repartition.lists_split", 0);
+    counters.Add("repartition.chunk_pair_joins", 0);
+    return JoinGroups(groups, std::move(local_join), stats);
+  }
+  // The grouped index feeds both the small and the large split below —
+  // pin it so neither re-runs its chain.
+  groups.Cache();
 
   const int wide = std::max(1, num_partitions * 2);
 
@@ -113,10 +99,7 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
       "repartition/large");
   const uint64_t lists_split = large.Count();
   stats->lists_repartitioned += lists_split;
-  // The CL-P / repartitioning knobs of Algorithm 3, published globally
-  // (not per scope): how many oversized posting lists were split and how
-  // many chunk-pair R-S joins that cost (below).
-  groups.context()->counters().Add("repartition.lists_split", lists_split);
+  counters.Add("repartition.lists_split", lists_split);
 
   minispark::Dataset<ScoredPair> small_results =
       JoinGroups(small, local_join, stats);
@@ -155,26 +138,19 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
           "repartition/compositeKey");
   auto spread =
       minispark::PartitionByKey(by_composite, wide, "repartition/spread");
-  std::vector<JoinStats> self_slots(static_cast<size_t>(wide));
-  minispark::Dataset<ScoredPair> chunk_self_results =
-      spread.MapPartitionsWithIndex(
-          [local_join, &self_slots](
-              int index,
-              const std::vector<
-                  std::pair<std::pair<ItemId, uint32_t>, Chunk>>& part) {
-            std::vector<ScoredPair> out;
-            JoinStats& local = self_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& kv : part) {
-              local_join(kv.first.first, kv.second.postings, &out, &local);
-            }
-            return out;
-          },
-          "repartition/chunkSelfJoin");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  chunk_self_results.Force();
-  MergeSlots(self_slots, stats);
+  minispark::Dataset<ScoredPair> chunk_self_results = MapPartitionsWithStats(
+      spread,
+      [local_join](
+          const std::vector<std::pair<std::pair<ItemId, uint32_t>, Chunk>>&
+              part,
+          JoinStats* local) {
+        std::vector<ScoredPair> out;
+        for (const auto& kv : part) {
+          local_join(kv.first.first, kv.second.postings, &out, local);
+        }
+        return out;
+      },
+      "repartition/chunkSelfJoin", stats);
 
   // Spark-style self-join of the sub-partitions on the item id; every
   // ordered pair of distinct secondary keys is processed by the R-S join.
@@ -187,30 +163,20 @@ minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
       "repartition/orderPairs");
   const uint64_t pair_joins = ordered_pairs.Count();
   stats->chunk_pair_joins += pair_joins;
-  groups.context()->counters().Add("repartition.chunk_pair_joins",
-                                   pair_joins);
-  std::vector<JoinStats> rs_slots(
-      static_cast<size_t>(ordered_pairs.num_partitions()));
-  minispark::Dataset<ScoredPair> chunk_rs_results =
-      ordered_pairs.MapPartitionsWithIndex(
-          [rs_join, &rs_slots](
-              int index,
-              const std::vector<std::pair<ItemId, std::pair<Chunk, Chunk>>>&
-                  part) {
-            std::vector<ScoredPair> out;
-            JoinStats& local = rs_slots[static_cast<size_t>(index)];
-            // Retry hygiene: a re-run attempt starts its stat slot from zero.
-            local = JoinStats();
-            for (const auto& jp : part) {
-              rs_join(jp.first, jp.second.first.postings,
-                      jp.second.second.postings, &out, &local);
-            }
-            return out;
-          },
-          "repartition/chunkRsJoin");
-  // Force (not Cache) before reading the stat slots: single consumer.
-  chunk_rs_results.Force();
-  MergeSlots(rs_slots, stats);
+  counters.Add("repartition.chunk_pair_joins", pair_joins);
+  minispark::Dataset<ScoredPair> chunk_rs_results = MapPartitionsWithStats(
+      ordered_pairs,
+      [rs_join](
+          const std::vector<std::pair<ItemId, std::pair<Chunk, Chunk>>>& part,
+          JoinStats* local) {
+        std::vector<ScoredPair> out;
+        for (const auto& jp : part) {
+          rs_join(jp.first, jp.second.first.postings,
+                  jp.second.second.postings, &out, local);
+        }
+        return out;
+      },
+      "repartition/chunkRsJoin", stats);
 
   return minispark::Union(
       minispark::Union(small_results, chunk_self_results,

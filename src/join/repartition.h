@@ -46,20 +46,16 @@ minispark::Dataset<ScoredPair> JoinGroups(
 /// kernel that verifies each pair once per list still does after the
 /// split.
 ///
-/// Lists of size <= delta take the plain JoinGroups path. With
-/// delta == 0 this degrades to JoinGroups exactly.
-///
-/// With `adaptive` set, the split machinery only engages after a
-/// driver-side measurement of the materialized posting lists finds one
-/// larger than delta — CL upgrades itself to CL-P mid-job when the data
-/// turns out skewed, and skips the extra shuffles entirely when it does
-/// not. Each engagement counts in the "repartition.skew_upgrades"
-/// counter. Results are identical either way (the non-adaptive path
-/// routes lists <= delta through the same JoinGroups kernel).
+/// The posting groups are materialized and measured first. When no list
+/// exceeds delta, the split stages are skipped and the groups are
+/// joined directly; otherwise lists of size <= delta take the plain
+/// JoinGroups kernel. Either way the "repartition.lists_split" and
+/// "repartition.chunk_pair_joins" counters are published (0 when nothing
+/// splits). With delta == 0 this is JoinGroups exactly.
 minispark::Dataset<ScoredPair> JoinGroupsWithRepartitioning(
     const minispark::Dataset<PostingGroup>& groups, uint64_t delta,
     int num_partitions, LocalJoinFn local_join, LocalRsJoinFn rs_join,
-    JoinStats* stats, bool adaptive = false);
+    JoinStats* stats);
 
 }  // namespace rankjoin
 

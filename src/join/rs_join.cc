@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "join/local_join.h"
+#include "join/stat_slots.h"
 #include "join/verify.h"
 #include "minispark/dataset.h"
 #include "ranking/footrule.h"
@@ -161,28 +162,19 @@ static Result<JoinResult> RunRsJoinImpl(minispark::Context* ctx,
       minispark::GroupByKey(postings, num_partitions, "rsJoin/group");
 
   const bool position_filter = options.position_filter;
-  std::vector<JoinStats> slots(static_cast<size_t>(groups.num_partitions()));
-  auto raw_pairs = groups.MapPartitionsWithIndex(
-      [raw_theta, position_filter, &slots](
-          int index,
+  auto raw_pairs = MapPartitionsWithStats(
+      groups,
+      [raw_theta, position_filter](
           const std::vector<std::pair<ItemId, std::vector<SidedPosting>>>&
-              part) {
+              part,
+          JoinStats* local) {
         std::vector<ScoredPair> out;
-        JoinStats& local = slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
         for (const auto& group : part) {
-          RsGroupJoin(group.second, raw_theta, position_filter, &out,
-                      &local);
+          RsGroupJoin(group.second, raw_theta, position_filter, &out, local);
         }
         return out;
       },
-      "rsJoin/localJoin");
-  // Force the fused group+localJoin chain before reading the stat
-  // slots. Force(), not Cache(): the chain has a single downstream
-  // consumer, so a cache pin would be wasted materialization (MS007).
-  raw_pairs.Force();
-  for (const JoinStats& stats : slots) result.stats.MergeCounters(stats);
+      "rsJoin/localJoin", &result.stats);
 
   std::vector<ScoredPair> unique =
       minispark::Distinct(raw_pairs, num_partitions, "rsJoin/distinct")

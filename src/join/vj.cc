@@ -133,28 +133,14 @@ std::vector<ScoredPair> DistributedSelfJoin(
                         GroupKey{item, mode, prefix_size});
     };
   }
-  LocalRsJoinFn rs_join = [theta, prefix_size, position_filter, mode](
-                              ItemId item,
-                              const std::vector<PrefixPosting>& left,
-                              const std::vector<PrefixPosting>& right,
-                              std::vector<ScoredPair>* out, JoinStats* s) {
-    NestedLoopJoinRS<P>(left, right, UniformThreshold<Distance>{theta},
-                        position_filter, out, s,
-                        GroupKey{item, mode, prefix_size});
-  };
-
   // Phase-local stats: the local joins accumulate into per-partition
-  // slots inside JoinGroupsWithRepartitioning; collecting them into a
-  // fresh JoinStats (merged into the caller's afterwards) lets this
-  // phase publish ITS filter-effectiveness counters under its own
-  // scope, no matter who embeds the self-join (VJ driver, CL
-  // clustering).
+  // slots inside JoinGroups; collecting them into a fresh JoinStats
+  // (merged into the caller's afterwards) lets this phase publish ITS
+  // filter-effectiveness counters under its own scope, no matter who
+  // embeds the self-join (VJ driver, CL clustering).
   JoinStats phase_stats;
   std::vector<ScoredPair> collected =
-      JoinGroupsWithRepartitioning(groups, spec.repartition_delta,
-                                   spec.num_partitions, local_join, rs_join,
-                                   &phase_stats, spec.adaptive_repartition)
-          .Collect();
+      JoinGroups(groups, std::move(local_join), &phase_stats).Collect();
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", collected.size());
   stats->MergeCounters(phase_stats);
@@ -190,8 +176,6 @@ Result<JoinResult> RunVjPipeline(minispark::Context* ctx,
   spec.position_filter = options.position_filter;
   spec.prefix_mode = options.prefix_mode;
   spec.local_algorithm = options.local_algorithm;
-  spec.repartition_delta = options.repartition_delta;
-  spec.adaptive_repartition = options.adaptive_repartition;
   spec.counter_scope = options.counter_scope;
   spec.stage_prefix = stage_prefix;
   std::vector<ScoredPair> scored =

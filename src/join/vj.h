@@ -35,14 +35,6 @@ struct VjOptions {
   bool reorder_by_frequency = true;
   PrefixMode prefix_mode = PrefixMode::kOverlap;
   LocalAlgorithm local_algorithm = LocalAlgorithm::kPrefixIndex;
-  /// Partitioning threshold delta of Algorithm 3; 0 disables
-  /// repartitioning of oversized posting lists.
-  uint64_t repartition_delta = 0;
-  /// Only engage Algorithm-3 repartitioning after measuring the
-  /// materialized posting lists and finding one larger than delta (see
-  /// JoinGroupsWithRepartitioning's adaptive mode). Requires
-  /// repartition_delta > 0.
-  bool adaptive_repartition = false;
   /// Namespace for the filter-effectiveness counters the pipeline
   /// publishes into Context::counters() (trace_level >= kCounters):
   /// "<scope>.candidates", "<scope>.verified", ... VJ-NL overrides this
@@ -91,10 +83,6 @@ struct BasicSelfJoinSpec {
   bool position_filter = true;
   PrefixMode prefix_mode = PrefixMode::kOverlap;
   LocalAlgorithm local_algorithm = LocalAlgorithm::kPrefixIndex;
-  uint64_t repartition_delta = 0;
-  /// Engage repartitioning only when measured skew demands it (see
-  /// VjOptions::adaptive_repartition).
-  bool adaptive_repartition = false;
   /// Counter namespace (see VjOptions::counter_scope); the CL clustering
   /// phase sets its own scope here.
   std::string counter_scope = "selfJoin";

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "join/stat_slots.h"
 #include "minispark/dataset.h"
 #include "ranking/flat_rankings.h"
 #include "ranking/footrule.h"
@@ -75,20 +76,16 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
   // Similarity phase, step 1: emit a partial phi for EVERY pair of
   // rankings sharing the item — the quadratic emission that [10] found
   // to dominate V-SMART's cost.
-  std::vector<JoinStats> slots(static_cast<size_t>(lists.num_partitions()));
-  auto partials = lists.MapPartitionsWithIndex(
-      [k, &slots](
-          int index,
-          const std::vector<std::pair<
-              ItemId, std::vector<std::pair<RankingId, uint16_t>>>>& part) {
-        JoinStats& local = slots[static_cast<size_t>(index)];
-        // Retry hygiene: a re-run attempt starts its stat slot from zero.
-        local = JoinStats();
+  auto partials = MapPartitionsWithStats(
+      lists,
+      [k](const std::vector<std::pair<
+              ItemId, std::vector<std::pair<RankingId, uint16_t>>>>& part,
+          JoinStats* local) {
         std::vector<std::pair<ResultPair, uint32_t>> out;
         for (const auto& [item, postings_list] : part) {
           for (size_t i = 0; i + 1 < postings_list.size(); ++i) {
             for (size_t j = i + 1; j < postings_list.size(); ++j) {
-              ++local.candidates;
+              ++local->candidates;
               out.push_back({MakeResultPair(postings_list[i].first,
                                             postings_list[j].first),
                              Phi(k, postings_list[i].second,
@@ -98,12 +95,7 @@ static Result<JoinResult> RunVSmartJoinImpl(minispark::Context* ctx,
         }
         return out;
       },
-      "vsmart/emitPartials");
-  // Force the partial-emission stage before reading the stat slots.
-  // Force(), not Cache(): the stage feeds only the reduce below, so a
-  // cache pin would be wasted materialization (MS007).
-  partials.Force();
-  for (const JoinStats& s : slots) result.stats.MergeCounters(s);
+      "vsmart/emitPartials", &result.stats);
 
   // Similarity phase, step 2: aggregate partials per pair and keep
   // qualifying pairs — no verification needed, the sum is exact.

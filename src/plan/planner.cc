@@ -63,8 +63,6 @@ std::string JoinPlan::ToJson() const {
      << ",\"theta\":" << FormatDouble(theta)
      << ",\"theta_c\":" << FormatDouble(theta_c) << ",\"delta\":" << delta
      << ",\"num_partitions\":" << num_partitions
-     << ",\"adaptive_repartition\":"
-     << (adaptive_repartition ? "true" : "false")
      << ",\"sample_size\":" << sample_size
      << ",\"skew_ratio\":" << FormatDouble(skew_ratio)
      << ",\"pair_density_theta\":" << FormatDouble(pair_density_theta)
@@ -89,7 +87,6 @@ std::string JoinPlan::Summary() const {
   os << "plan: " << AlgorithmName(algorithm) << " theta=" << theta;
   if (algorithm == Algorithm::kCL || algorithm == Algorithm::kCLP) {
     os << " theta_c=" << theta_c << " delta=" << delta;
-    if (adaptive_repartition) os << " (adaptive)";
   }
   os << " | sample=" << sample_size << " skew=" << FormatDouble(skew_ratio);
   for (const StrategyCost& s : strategies) {
@@ -102,12 +99,15 @@ std::string JoinPlan::Summary() const {
 SimilarityJoinConfig ApplyPlan(const SimilarityJoinConfig& base,
                                const JoinPlan& plan) {
   SimilarityJoinConfig config = base;
-  config.algorithm = plan.algorithm;
+  // A CL pick runs as CL-P: the sample can miss a skew tail, and CL-P
+  // splits only the posting lists measured over plan.delta, so when they
+  // all fit it costs one materialization of the lists.
+  config.algorithm =
+      plan.algorithm == Algorithm::kCL ? Algorithm::kCLP : plan.algorithm;
   config.theta = plan.theta;
   config.theta_c = plan.theta_c;
   config.delta = plan.delta;
   config.num_partitions = plan.num_partitions;
-  config.adaptive_repartition = plan.adaptive_repartition;
   return config;
 }
 
@@ -182,10 +182,6 @@ Result<JoinPlan> PlanJoin(minispark::Context* ctx,
 
   const StrategyCost* best = Cheapest(plan.strategies);
   plan.algorithm = best->algorithm;
-  // CL keeps a measure-then-split safety net: the sample can miss a skew
-  // tail, and adaptive repartitioning costs nothing when the measured
-  // lists stay under delta.
-  plan.adaptive_repartition = plan.algorithm == Algorithm::kCL;
   if (plan.algorithm == Algorithm::kVJ) plan.delta = 0;
 
   std::ostringstream why;

@@ -36,15 +36,11 @@ struct JoinPlan {
   /// Possibly shrunk from the configured value to keep the CL enlarged
   /// threshold below the maximum distance.
   double theta_c = 0.0;
-  /// Partitioning threshold handed to CL-P / adaptive CL. The configured
-  /// delta when pinned (> 0), otherwise the profile's measured
-  /// suggestion.
+  /// Partitioning threshold handed to CL-P (a CL pick runs as CL-P, see
+  /// ApplyPlan). The configured delta when pinned (> 0), otherwise the
+  /// profile's measured suggestion.
   uint64_t delta = 0;
   int num_partitions = -1;
-  /// CL plans run with measure-then-split repartitioning as a safety net
-  /// (the sample may have missed a skew tail); CL-P plans split
-  /// unconditionally.
-  bool adaptive_repartition = false;
   /// Human-readable explanation of the decision.
   std::string rationale;
 
@@ -67,8 +63,9 @@ struct JoinPlan {
 
 /// Builds the concrete SimilarityJoinConfig that executes `plan` on top
 /// of the user's original config (filters, store, and partition settings
-/// are preserved; algorithm/theta_c/delta/adaptive_repartition come from
-/// the plan).
+/// are preserved; algorithm/theta_c/delta come from the plan). A CL
+/// pick executes as CL-P with the plan's delta, which splits only the
+/// posting lists measured over it.
 SimilarityJoinConfig ApplyPlan(const SimilarityJoinConfig& base,
                                const JoinPlan& plan);
 

@@ -1,5 +1,6 @@
 #include "ranking/ranking.h"
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -47,8 +48,31 @@ Status RankingDataset::Validate() const {
   return store().Validate();  // memoized: runs once per load
 }
 
+namespace {
+
+/// True when `flat` holds exactly `rankings` (ids and items, in order).
+bool Mirrors(const FlatRankings& flat, int k,
+             const std::vector<Ranking>& rankings) {
+  if (flat.k() != k || flat.size() != rankings.size()) return false;
+  const size_t width = static_cast<size_t>(k);
+  for (size_t i = 0; i < rankings.size(); ++i) {
+    const std::vector<ItemId>& items = rankings[i].items();
+    if (flat.ids()[i] != rankings[i].id() || items.size() != width ||
+        !std::equal(items.begin(), items.end(), flat.items() + i * width)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 const FlatRankings& RankingDataset::store() const {
-  if (!flat_ || (flat_->size() != size() || flat_->k() != k)) {
+  // A dataset born flat (mmap) has no `rankings` to mirror. Otherwise the
+  // store is compared with `rankings` on every call: they may have been
+  // edited in place, or in a copy that shares this store.
+  const bool born_flat = rankings.empty() && flat_ && flat_->k() == k;
+  if (!born_flat && !(flat_ && Mirrors(*flat_, k, rankings))) {
     flat_ = std::make_shared<const FlatRankings>(
         FlatRankings::FromRankings(k, rankings));
   }

@@ -72,8 +72,9 @@ struct RankingDataset {
   Status Validate() const;
 
   /// The canonical columnar representation. Built lazily from `rankings`
-  /// on first use and cached; rebuilt if `rankings` changed size or k
-  /// since. Attached directly (zero-copy) for mmap-loaded datasets.
+  /// on first use and cached; each call compares the cache with
+  /// `rankings` (O(n*k)) and rebuilds it on any change. Attached directly
+  /// (zero-copy) for mmap-loaded datasets.
   const FlatRankings& store() const;
 
   /// Attaches an externally built store (mmap loader); clears the cache

@@ -9,12 +9,15 @@
 
 #include "data/generator.h"
 #include "data/io.h"
+#include "join/brute_force.h"
+#include "join/vj.h"
 #include "minispark/serde.h"
 #include "tests/test_util.h"
 
 namespace rankjoin {
 namespace {
 
+using testutil::PairSet;
 using testutil::SmallSkewedDataset;
 
 std::string TempPath(const std::string& name) {
@@ -115,6 +118,42 @@ TEST(RankingDatasetStoreTest, StoreIsCachedAndRebuiltOnChange) {
   const FlatRankings& rebuilt = ds.store();
   EXPECT_EQ(rebuilt.size(), ds.rankings.size());
   EXPECT_EQ(rebuilt.view(rebuilt.size() - 1).id, 999u);
+}
+
+TEST(RankingDatasetStoreTest, InPlaceEditsAreSeen) {
+  // Rankings 0 and 2 differ in their last item; ranking 1 shares no item.
+  RankingDataset ds;
+  ds.k = 3;
+  ds.rankings = {Ranking(0, {1, 2, 3}), Ranking(1, {7, 8, 9}),
+                 Ranking(2, {1, 2, 4})};
+  ASSERT_TRUE(ds.Validate().ok());
+  const FlatRankings* built = &ds.store();
+  EXPECT_EQ(built, &ds.store());  // unchanged: not rebuilt
+
+  // Invalid edits: a repeated item, a repeated id. First to a copy that
+  // shares the built store, then in place.
+  const Ranking bad[] = {Ranking(1, {5, 5, 6}), Ranking(0, {5, 6, 7})};
+  for (const Ranking& edit : bad) {
+    RankingDataset copy = ds;
+    copy.rankings[1] = edit;
+    EXPECT_FALSE(copy.Validate().ok()) << edit.ToString();
+  }
+  EXPECT_TRUE(ds.Validate().ok());
+  for (const Ranking& edit : bad) {
+    ds.rankings[1] = edit;
+    EXPECT_FALSE(ds.Validate().ok()) << edit.ToString();
+  }
+
+  // A valid edit: ranking 1 now pairs with both others.
+  ds.rankings[1] = Ranking(1, {1, 2, 5});
+  ASSERT_TRUE(ds.Validate().ok());
+  EXPECT_EQ(PairSet(BruteForceJoin(ds, 0.3).pairs).size(), 3u);
+  minispark::Context ctx(testutil::TestCluster());
+  VjOptions options;
+  options.theta = 0.3;
+  auto vj = RunVjJoin(&ctx, ds, options);
+  ASSERT_TRUE(vj.ok()) << vj.status().ToString();
+  EXPECT_EQ(PairSet(vj->pairs).size(), 3u);
 }
 
 TEST(RankingDatasetStoreTest, ValidateRoutesThroughStore) {

@@ -41,6 +41,27 @@ TEST_F(IoTest, RoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST_F(IoTest, TextRoundTripOfMappedColumnarFile) {
+  GeneratorOptions options;
+  options.num_rankings = 50;
+  options.k = 6;
+  options.domain_size = 60;
+  RankingDataset original = GenerateDataset(options);
+
+  const std::string flat_path = TempPath("roundtrip.rkjc");
+  const std::string text_path = TempPath("from_mmap.txt");
+  ASSERT_TRUE(WriteFlatRankings(flat_path, original).ok());
+  auto mapped = MapFlatRankings(flat_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  ASSERT_TRUE(mapped->rankings.empty());  // born flat
+  ASSERT_TRUE(WriteRankings(text_path, *mapped).ok());
+  auto loaded = ReadRankings(text_path, 6);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->rankings, original.rankings);
+  std::remove(flat_path.c_str());
+  std::remove(text_path.c_str());
+}
+
 TEST_F(IoTest, ParsesExplicitIdsAndComments) {
   const std::string path = TempPath("ids.txt");
   WriteFile(path,

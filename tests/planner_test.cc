@@ -206,7 +206,6 @@ TEST(PlannerGoldenTest, UniformSmallPicksVj) {
   const JoinPlan plan = MustPlan(&ctx, UniformSmallDataset(), config);
   EXPECT_EQ(plan.algorithm, Algorithm::kVJ) << plan.rationale;
   EXPECT_EQ(plan.delta, 0u);
-  EXPECT_FALSE(plan.adaptive_repartition);
 }
 
 TEST(PlannerGoldenTest, DuplicateHeavyPicksCl) {
@@ -217,9 +216,10 @@ TEST(PlannerGoldenTest, DuplicateHeavyPicksCl) {
   config.theta_c = 0.02;
   const JoinPlan plan = MustPlan(&ctx, DuplicateHeavyDataset(), config);
   EXPECT_EQ(plan.algorithm, Algorithm::kCL) << plan.rationale;
-  // CL plans carry the measured delta plus the adaptive safety net.
+  // CL plans carry the measured delta and execute as CL-P, which splits
+  // only the posting lists measured over it.
   EXPECT_GT(plan.delta, 0u);
-  EXPECT_TRUE(plan.adaptive_repartition);
+  EXPECT_EQ(plan::ApplyPlan(config, plan).algorithm, Algorithm::kCLP);
   EXPECT_LT(plan.centroid_fraction, 0.5);
 }
 
@@ -317,7 +317,7 @@ TEST(PlannerExecutionTest, AutoMatchesExplicitAndTruth) {
 
 // ---------------------------------------------------------------------
 // Runtime skew splitting: split == unsplit identical results, with and
-// without chaos injection; the adaptive CL -> CL-P upgrade.
+// without chaos injection; CL-P splits only lists measured over delta.
 
 TEST(SkewSplitTest, SplitAndUnsplitRunsAgreeOnPairs) {
   PinnedEnv pinned;
@@ -363,50 +363,47 @@ TEST(SkewSplitTest, SplitSurvivesChaosInjection) {
   EXPECT_EQ(PairSet(plain->pairs), PairSet(chaos->pairs));
 }
 
-TEST(SkewSplitTest, AdaptiveClUpgradesOnMeasuredSkew) {
+TEST(SkewSplitTest, ClpSplitsOnlyMeasuredSkew) {
   PinnedEnv pinned;
   const RankingDataset data = SmallSkewedDataset(35, 500);
   SimilarityJoinConfig config;
   config.algorithm = Algorithm::kCL;
   config.theta = 0.2;
   config.theta_c = 0.05;
-  config.adaptive_repartition = true;
-  config.delta = 1;  // every posting list is "oversized": must upgrade
-
-  minispark::Context::Options options = TestCluster();
-  options.trace_level = minispark::TraceLevel::kCounters;
-  Context ctx(options);
-  auto adaptive = RunSimilarityJoin(&ctx, data, config);
-  ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
-  uint64_t upgrades = 0;
-  for (const auto& [name, value] : ctx.counters().Snapshot()) {
-    if (name == "repartition.skew_upgrades") upgrades = value;
-  }
-  EXPECT_GE(upgrades, 1u);
-
-  // The upgraded run still produces the exact CL result.
   Context plain_ctx(TestCluster());
-  SimilarityJoinConfig plain_config = config;
-  plain_config.adaptive_repartition = false;
-  plain_config.delta = 0;
-  auto plain = RunSimilarityJoin(&plain_ctx, data, plain_config);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(PairSet(adaptive->pairs), PairSet(plain->pairs));
+  auto plain = RunSimilarityJoin(&plain_ctx, data, config);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
-  // A generous delta measures, decides not to split, and stays CL.
-  minispark::Context::Options quiet_options = TestCluster();
-  quiet_options.trace_level = minispark::TraceLevel::kCounters;
-  Context quiet_ctx(quiet_options);
-  SimilarityJoinConfig quiet_config = config;
-  quiet_config.delta = 1'000'000;
-  auto quiet = RunSimilarityJoin(&quiet_ctx, data, quiet_config);
-  ASSERT_TRUE(quiet.ok());
-  uint64_t quiet_upgrades = 0;
-  for (const auto& [name, value] : quiet_ctx.counters().Snapshot()) {
-    if (name == "repartition.skew_upgrades") quiet_upgrades = value;
-  }
-  EXPECT_EQ(quiet_upgrades, 0u);
-  EXPECT_EQ(PairSet(quiet->pairs), PairSet(plain->pairs));
+  // CL-P with `delta`: the number of lists it split and the job's stage
+  // count; its pairs must be CL's.
+  auto run_clp = [&](uint64_t delta, uint64_t* lists_split, size_t* stages) {
+    minispark::Context::Options options = TestCluster();
+    options.trace_level = minispark::TraceLevel::kCounters;
+    Context ctx(options);
+    SimilarityJoinConfig clp_config = config;
+    clp_config.algorithm = Algorithm::kCLP;
+    clp_config.delta = delta;
+    auto result = RunSimilarityJoin(&ctx, data, clp_config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(PairSet(result->pairs), PairSet(plain->pairs))
+        << "delta " << delta;
+    *lists_split = ctx.counters().Value("repartition.lists_split");
+    *stages = ctx.metrics().NumStages();
+  };
+
+  // delta = 1: every posting list is oversized and gets split.
+  uint64_t split_lists = 0;
+  size_t split_stages = 0;
+  run_clp(1, &split_lists, &split_stages);
+  EXPECT_GT(split_lists, 0u);
+
+  // A generous delta measures, splits nothing, and skips the split
+  // stages.
+  uint64_t quiet_lists = 1;
+  size_t quiet_stages = 0;
+  run_clp(1'000'000, &quiet_lists, &quiet_stages);
+  EXPECT_EQ(quiet_lists, 0u);
+  EXPECT_LT(quiet_stages, split_stages);
 }
 
 }  // namespace

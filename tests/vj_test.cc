@@ -90,24 +90,6 @@ TEST(VjTest, PositionFilterDoesNotChangeResults) {
   EXPECT_LE(a->stats.verified, b->stats.verified);
 }
 
-TEST(VjTest, RepartitioningPreservesResults) {
-  RankingDataset ds = SmallSkewedDataset(106);
-  minispark::Context ctx(TestCluster());
-  for (uint64_t delta : {5u, 20u, 100u}) {
-    VjOptions options;
-    options.theta = 0.3;
-    options.local_algorithm = LocalAlgorithm::kNestedLoop;
-    options.repartition_delta = delta;
-    auto result = RunVjJoin(&ctx, ds, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(PairSet(result->pairs), Truth(ds, 0.3)) << "delta " << delta;
-    if (delta <= 20) {
-      EXPECT_GT(result->stats.lists_repartitioned, 0u);
-      EXPECT_GT(result->stats.chunk_pair_joins, 0u);
-    }
-  }
-}
-
 TEST(VjTest, RejectsThetaOutOfRange) {
   RankingDataset ds = SmallSkewedDataset(107, 20);
   minispark::Context ctx(TestCluster());
