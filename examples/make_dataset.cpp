@@ -10,6 +10,7 @@
 // --flat-out additionally (or, with --output "", only) writes the
 // binary columnar RKJC file rankjoin_cli --mmap loads zero-copy.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "data/io.h"
 #include "data/scale.h"
 #include "data/stats.h"
+#include "parse_number.h"
 
 int main(int argc, char** argv) {
   using namespace rankjoin;
@@ -53,22 +55,26 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--n")) {
-      options.num_rankings = std::strtoull(next("--n"), nullptr, 10);
+      options.num_rankings =
+          ParseNumber("--n", next("--n"), size_t{0}, SIZE_MAX);
     } else if (!std::strcmp(argv[i], "--k")) {
-      options.k = std::atoi(next("--k"));
+      options.k = ParseNumber("--k", next("--k"), 1, 65535);
     } else if (!std::strcmp(argv[i], "--domain")) {
       options.domain_size =
-          static_cast<uint32_t>(std::strtoul(next("--domain"), nullptr, 10));
+          ParseNumber("--domain", next("--domain"), uint32_t{1}, UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--skew")) {
-      options.zipf_skew = std::atof(next("--skew"));
+      options.zipf_skew = ParseNumber("--skew", next("--skew"), 0.0, 100.0);
     } else if (!std::strcmp(argv[i], "--near-dup")) {
-      options.near_duplicate_rate = std::atof(next("--near-dup"));
+      options.near_duplicate_rate =
+          ParseNumber("--near-dup", next("--near-dup"), 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--exact-dup")) {
-      options.exact_duplicate_rate = std::atof(next("--exact-dup"));
+      options.exact_duplicate_rate =
+          ParseNumber("--exact-dup", next("--exact-dup"), 0.0, 1.0);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      options.seed = std::strtoull(next("--seed"), nullptr, 10);
+      options.seed =
+          ParseNumber("--seed", next("--seed"), uint64_t{0}, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--scale")) {
-      scale = std::atoi(next("--scale"));
+      scale = ParseNumber("--scale", next("--scale"), 1, 1 << 20);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -81,6 +87,12 @@ int main(int argc, char** argv) {
                  "[--n N] [--k K] [--domain D] [--skew S] [--near-dup R] "
                  "[--exact-dup R] [--seed S] [--scale X]\n",
                  argv[0]);
+    return 2;
+  }
+
+  if (options.domain_size < static_cast<uint32_t>(options.k)) {
+    std::fprintf(stderr, "--domain (%u) must be at least --k (%d)\n",
+                 options.domain_size, options.k);
     return 2;
   }
 

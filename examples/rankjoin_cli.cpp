@@ -14,19 +14,17 @@
 // --k is inferred from the file header). Output: "id1 id2" lines
 // sorted by pair.
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
-#include <system_error>
 
 #include "core/similarity_join.h"
 #include "data/io.h"
 #include "minispark/dataset.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -71,25 +69,6 @@ void Usage(const char* argv0) {
       "  --deadline-ms N    fail the job with DeadlineExceeded after N ms\n"
       "                     (same as RANKJOIN_JOB_DEADLINE_MS)\n",
       argv0);
-}
-
-/// Parses the whole of `text` as a T in [lo, hi]. std::from_chars
-/// takes no leading space, '+' or trailing characters, and an unsigned
-/// T takes no '-'. On failure prints a message naming `flag` and exits 2.
-template <typename T>
-T ParseNumber(const char* flag, const char* text, T lo, T hi) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  // Written as !(in range) so that a NaN is rejected too.
-  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
-    std::ostringstream range;
-    range << '[' << lo << ", " << hi << ']';
-    std::fprintf(stderr, "%s: expected a number in %s, got '%s'\n", flag,
-                 range.str().c_str(), text);
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace

@@ -188,6 +188,9 @@ struct MmapRegion {
 
 Status WriteFlatRankings(const std::string& path,
                          const RankingDataset& dataset) {
+  // As in WriteRankings: Validate() keeps store() from reading a short
+  // ranking.
+  RANKJOIN_RETURN_NOT_OK(dataset.Validate());
   const FlatRankings& flat = dataset.store();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path + " for writing");

@@ -239,17 +239,10 @@ std::vector<BasicCentroidPair<typename P::Distance>> RunCentroidJoin(
       groups, spec.repartition_delta, spec.num_partitions, local_join,
       rs_join, &phase_stats);
 
-  std::unordered_set<RankingId> singleton_set(singletons.begin(),
-                                              singletons.end());
   std::vector<BasicCentroidPair<Distance>> result;
   for (const ScoredPair& sp : pairs.Collect()) {
-    BasicCentroidPair<Distance> cp;
-    cp.ci = sp.first.first;
-    cp.cj = sp.first.second;
-    cp.distance = P::FromScore(sp.second, spec.k);
-    cp.ci_singleton = singleton_set.count(cp.ci) > 0;
-    cp.cj_singleton = singleton_set.count(cp.cj) > 0;
-    result.push_back(cp);
+    result.push_back(BasicCentroidPair<Distance>{
+        sp.first.first, sp.first.second, P::FromScore(sp.second, spec.k)});
   }
   phase_stats.PublishCounters(&ctx->counters(), spec.counter_scope);
   ctx->counters().Add(spec.counter_scope + ".pairs", result.size());

@@ -70,14 +70,12 @@ Clustering RunRandomCentroidClustering(
     JoinStats* stats);
 
 /// One joining-phase result: a qualifying centroid pair with its
-/// distance and the singleton markers needed by the expansion.
+/// distance.
 template <typename Distance>
 struct BasicCentroidPair {
   RankingId ci = 0;  // smaller id
   RankingId cj = 0;
   Distance distance{};
-  bool ci_singleton = false;
-  bool cj_singleton = false;
 };
 
 using CentroidPair = BasicCentroidPair<uint32_t>;

@@ -49,12 +49,7 @@ Status ValidateClOptions(const ClOptions& options, int k) {
 
 namespace {
 
-/// (member id, distance to its centroid) — the value type of the
-/// cluster dataset keyed by centroid.
-template <typename Distance>
-using MemberRec = std::pair<RankingId, Distance>;
-
-/// Shared context for the expansion kernels.
+/// Shared context for the expansion kernel.
 template <typename P>
 struct ExpansionContext {
   const RankingTable* table = nullptr;
@@ -121,9 +116,36 @@ void ResolveOverlaps(BasicClustering<Distance>* clustering) {
   clustering->pairs = std::move(kept);
 }
 
+/// A ranking in one cluster: its id, its distance to the cluster's
+/// representative, and its home cluster (the smallest cluster holding
+/// it, docs/ALGORITHMS.md §5).
+template <typename Distance>
+struct Member {
+  RankingId id = 0;
+  Distance distance{};
+  RankingId home = 0;
+};
+
+/// One unit of expansion work: the centroid-join pair (x, y), x < y, at
+/// `distance`, or, with x == y, the pairs inside cluster x. The members
+/// of x and y are at x_slot and y_slot of the broadcast member lists.
+template <typename Distance>
+struct ExpandItem {
+  Member<Distance> x;
+  Member<Distance> y;
+  Distance distance{};
+  uint32_t x_slot = 0;
+  uint32_t y_slot = 0;
+};
+
 /// Expansion phase (paper Section 5.3 / Algorithm 2): combines the
 /// joining-phase centroid pairs R_j with the clustering-phase tuples R_c
-/// to produce the final result set.
+/// to produce the final result set, in one narrow pass. Clusters
+/// overlap, so a pair can be reached through several cluster pairs; it
+/// is emitted only from its owner, the pair of the two rankings' home
+/// clusters, which is in R_j whenever the pair qualifies (or is one
+/// cluster). Every other route counts it as `owner_skipped`, so each
+/// pair is verified at most once and no distinct is needed.
 template <typename P>
 std::vector<ResultPair> RunExpansion(
     minispark::Context* ctx, const RankingTable& table,
@@ -134,167 +156,127 @@ std::vector<ResultPair> RunExpansion(
     JoinStats* stats) {
   using Distance = typename P::Distance;
   using Bound = typename P::Bound;
-  using Member = MemberRec<Distance>;
-  using CPair = BasicCentroidPair<Distance>;
+  using Mem = Member<Distance>;
+  using Item = ExpandItem<Distance>;
   const ExpansionContext<P> ectx{&table, theta, upper_shortcut};
-  // All expansion kernels below tally into this phase-local accumulator
-  // (via per-partition slot vectors merged after each Force() barrier);
-  // it is merged into the caller's stats AND published to the counter
-  // registry under "<scope>.expansion" at the end, so traces show the
-  // triangle-inequality prune/shortcut effectiveness of Section 5.3 in
-  // isolation.
-  JoinStats expansion_stats;
 
-  // R_c keyed by centroid.
-  std::vector<std::pair<RankingId, Member>> cluster_kv;
-  cluster_kv.reserve(clustering.pairs.size());
+  // Home clusters. A ranking in no membership is a centroid or a
+  // singleton and its own home; a member's home is the smallest cluster
+  // it belongs to, its own one included when it is also a centroid.
+  std::unordered_map<RankingId, RankingId> home;
   for (const auto& cp : clustering.pairs) {
-    cluster_kv.push_back({cp.centroid, {cp.member, cp.distance}});
+    auto [it, inserted] = home.try_emplace(cp.member, cp.centroid);
+    if (!inserted) it->second = std::min(it->second, cp.centroid);
   }
-  // The cluster-membership dataset is consumed by three wide operations
-  // below (groupClusters and both membership joins) — pin it so it
-  // materializes exactly once.
-  minispark::Dataset<std::pair<RankingId, Member>> clusters =
-      minispark::Parallelize(ctx, std::move(cluster_kv), num_partitions);
-  clusters.Cache();
-
-  minispark::Dataset<CPair> rj_ds =
-      minispark::Parallelize(ctx, rj, num_partitions);
-
-  // Direct results: R_s (both singleton, emitted as-is — their join
-  // threshold was theta) plus every centroid pair within theta.
-  minispark::Dataset<ResultPair> direct = rj_ds.FlatMap(
-      [theta](const CPair& cp) {
-        std::vector<ResultPair> out;
-        if (P::Within(cp.distance, theta)) {
-          out.push_back(MakeResultPair(cp.ci, cp.cj));
-        }
-        return out;
-      },
-      names + "expand/direct");
-
-  // Intra-cluster results: (centroid, member) pairs qualify outright
-  // (distance <= theta_c <= theta); member-member pairs are within
-  // 2*theta_c by the triangle inequality and are emitted unverified when
-  // the known distance sum already proves qualification.
-  minispark::Dataset<std::pair<RankingId, std::vector<Member>>>
-      grouped_clusters = minispark::GroupByKey(
-          clusters, num_partitions, names + "expand/groupClusters");
-  minispark::Dataset<ResultPair> intra = MapPartitionsWithStats(
-      grouped_clusters,
-      [ectx](const std::vector<std::pair<RankingId, std::vector<Member>>>&
-                 part,
-             JoinStats* local) {
-        std::vector<ResultPair> out;
-        for (const auto& [centroid, members] : part) {
-          for (const Member& m : members) {
-            out.push_back(MakeResultPair(centroid, m.first));
-          }
-          for (size_t i = 0; i + 1 < members.size(); ++i) {
-            for (size_t j = i + 1; j < members.size(); ++j) {
-              const Bound sum = static_cast<Bound>(members[i].second) +
-                                static_cast<Bound>(members[j].second);
-              EmitWithTriangleBounds(ectx, members[i].first, members[j].first,
-                                     /*lower_bound=*/Bound{0}, sum, &out,
-                                     local);
-            }
-          }
-        }
-        return out;
-      },
-      names + "expand/intraCluster", &expansion_stats);
-
-  // R_m: centroid pairs with at least one non-singleton side need to be
-  // joined with the clusters (Algorithm 2 lines 3-8).
-  minispark::Dataset<CPair> rm = rj_ds.Filter(
-      [](const CPair& cp) { return !(cp.ci_singleton && cp.cj_singleton); },
-      names + "expand/filterRm");
-  // R_m feeds both directional re-keyings — materialize the filter once.
-  rm.Cache();
-
-  minispark::Dataset<std::pair<RankingId, CPair>> rm_by_ci = rm.Map(
-      [](const CPair& cp) { return std::pair<RankingId, CPair>(cp.ci, cp); },
-      names + "expand/keyByCi");
-  minispark::Dataset<std::pair<RankingId, CPair>> rm_by_cj = rm.Map(
-      [](const CPair& cp) { return std::pair<RankingId, CPair>(cp.cj, cp); },
-      names + "expand/keyByCj");
-
-  // One membership direction of R_m,c: members of one centroid against
-  // the OTHER centroid of the pair, bounded by |d(ci,cj) - d(c,m)| and
-  // d(ci,cj) + d(c,m).
-  using Joined = std::pair<RankingId, std::pair<CPair, Member>>;
-  auto expand_members = [&](const minispark::Dataset<Joined>& joined,
-                            bool against_cj, const std::string& name) {
-    return MapPartitionsWithStats(
-        joined,
-        [ectx, against_cj](const std::vector<Joined>& part, JoinStats* local) {
-          std::vector<ResultPair> out;
-          for (const auto& [centroid, rec] : part) {
-            const CPair& cp = rec.first;
-            const Member& m = rec.second;
-            const Bound dij = static_cast<Bound>(cp.distance);
-            const Bound dm = static_cast<Bound>(m.second);
-            EmitWithTriangleBounds(ectx, m.first, against_cj ? cp.cj : cp.ci,
-                                   std::abs(dij - dm), dij + dm, &out, local);
-          }
-          return out;
-        },
-        name, &expansion_stats);
+  for (RankingId c : clustering.centroids) {
+    if (auto it = home.find(c); it != home.end()) {
+      it->second = std::min(it->second, c);
+    }
+  }
+  auto representative = [&home](RankingId r) {
+    const auto it = home.find(r);
+    return Mem{r, Distance{}, it == home.end() ? r : it->second};
   };
 
-  // Members of ci against cj (R_m,c, first direction).
-  auto j1 = minispark::Join(rm_by_ci, clusters, num_partitions,
-                            names + "expand/joinMembersCi");
-  minispark::Dataset<ResultPair> rm_c1 =
-      expand_members(j1, /*against_cj=*/true, names + "expand/membersCi");
+  // The membership index: the members of each cluster, by slot, with
+  // slot 0 left empty for the representatives without members. Each
+  // cluster with members also gets an item for its inside pairs.
+  std::vector<std::vector<Mem>> members(1);
+  std::unordered_map<RankingId, uint32_t> slot;
+  std::vector<Item> items;
+  items.reserve(rj.size());
+  for (const auto& cp : clustering.pairs) {
+    const auto [it, inserted] =
+        slot.try_emplace(cp.centroid, static_cast<uint32_t>(members.size()));
+    if (inserted) {
+      members.emplace_back();
+      const Mem c = representative(cp.centroid);
+      items.push_back(Item{c, c, Distance{}, it->second, it->second});
+    }
+    members[it->second].push_back(
+        Mem{cp.member, cp.distance, representative(cp.member).home});
+  }
+  auto slot_of = [&slot](RankingId c) {
+    const auto it = slot.find(c);
+    return it == slot.end() ? 0u : it->second;
+  };
+  for (const auto& cp : rj) {
+    items.push_back(Item{representative(cp.ci), representative(cp.cj),
+                         cp.distance, slot_of(cp.ci), slot_of(cp.cj)});
+  }
+  const minispark::Broadcast<std::vector<std::vector<Mem>>> members_bc =
+      ctx->MakeBroadcast(std::move(members), names + "expand/members");
 
-  // Members of cj against ci (R_m,c, second direction — the "switched
-  // centroids" join of Example 5.4).
-  auto j2 = minispark::Join(rm_by_cj, clusters, num_partitions,
-                            names + "expand/joinMembersCj");
-  minispark::Dataset<ResultPair> rm_c2 =
-      expand_members(j2, /*against_cj=*/false, names + "expand/membersCj");
-
-  // Members of ci against members of cj (R_m,m): re-key the first join
-  // by the second centroid and join with the clusters again.
-  minispark::Dataset<Joined> j1_by_cj = j1.Map(
-      [](const Joined& rec) {
-        return Joined(rec.second.first.cj, rec.second);
-      },
-      names + "expand/rekeyByCj");
-  auto jmm = minispark::Join(j1_by_cj, clusters, num_partitions,
-                             names + "expand/joinMembersBoth");
-  minispark::Dataset<ResultPair> rm_m = MapPartitionsWithStats(
-      jmm,
-      [ectx](const std::vector<std::pair<
-                 RankingId, std::pair<std::pair<CPair, Member>, Member>>>& part,
-             JoinStats* local) {
-        std::vector<ResultPair> out;
-        for (const auto& [cj, rec] : part) {
-          const CPair& cp = rec.first.first;
-          const Member& mi = rec.first.second;  // member of ci
-          const Member& mj = rec.second;        // member of cj
-          const Bound dij = static_cast<Bound>(cp.distance);
-          const Bound lower = dij - static_cast<Bound>(mi.second) -
-                              static_cast<Bound>(mj.second);
-          const Bound upper = dij + static_cast<Bound>(mi.second) +
-                              static_cast<Bound>(mj.second);
-          EmitWithTriangleBounds(ectx, mi.first, mj.first, lower, upper,
-                                 &out, local);
+  auto expand = [ectx, members_bc](const std::vector<Item>& part,
+                                   JoinStats* local) {
+    std::vector<ResultPair> out;
+    for (const Item& item : part) {
+      auto owned = [&item, local](const Mem& a, const Mem& b) {
+        if (std::min(a.home, b.home) == item.x.id &&
+            std::max(a.home, b.home) == item.y.id) {
+          return true;
         }
-        return out;
-      },
-      names + "expand/membersBoth", &expansion_stats);
+        ++local->owner_skipped;
+        return false;
+      };
+      // A pair whose distance is known exactly: a representative and one
+      // of its members, or the two representatives.
+      auto exact = [&](const Mem& a, const Mem& b, Distance d) {
+        if (owned(a, b) && P::Within(d, ectx.theta)) {
+          out.push_back(MakeResultPair(a.id, b.id));
+        }
+      };
+      auto bounded = [&](const Mem& a, const Mem& b, Bound lower,
+                         Bound upper) {
+        if (a.id != b.id && owned(a, b)) {
+          EmitWithTriangleBounds(ectx, a.id, b.id, lower, upper, &out, local);
+        }
+      };
+      const std::vector<Mem>& xs = (*members_bc)[item.x_slot];
+      if (item.x.id == item.y.id) {
+        // Inside one cluster: (centroid, member) pairs are within
+        // theta_c; member pairs within the sum of their distances.
+        for (size_t i = 0; i < xs.size(); ++i) {
+          exact(item.x, xs[i], xs[i].distance);
+          for (size_t j = i + 1; j < xs.size(); ++j) {
+            bounded(xs[i], xs[j], Bound{0},
+                    static_cast<Bound>(xs[i].distance) +
+                        static_cast<Bound>(xs[j].distance));
+          }
+        }
+        continue;
+      }
+      // Across clusters (Algorithm 2 lines 3-8): the representatives,
+      // each one against the other's members, and member against member,
+      // bounded around d(x, y) by the triangle inequality.
+      const std::vector<Mem>& ys = (*members_bc)[item.y_slot];
+      const Bound dxy = static_cast<Bound>(item.distance);
+      exact(item.x, item.y, item.distance);
+      for (const Mem& b : ys) {
+        const Bound db = static_cast<Bound>(b.distance);
+        bounded(item.x, b, std::abs(dxy - db), dxy + db);
+      }
+      for (const Mem& a : xs) {
+        const Bound da = static_cast<Bound>(a.distance);
+        bounded(a, item.y, std::abs(dxy - da), dxy + da);
+        for (const Mem& b : ys) {
+          const Bound db = static_cast<Bound>(b.distance);
+          bounded(a, b, dxy - da - db, dxy + da + db);
+        }
+      }
+    }
+    return out;
+  };
 
-  // Union everything and remove duplicates (Algorithm 2 line 9).
-  minispark::Dataset<ResultPair> all = minispark::Union(
-      minispark::Union(
-          minispark::Union(direct, intra, names + "expand/u1"),
-          minispark::Union(rm_c1, rm_c2, names + "expand/u2"),
-          names + "expand/u3"),
-      rm_m, names + "expand/u4");
+  // The kernel tallies into this phase-local accumulator, merged into
+  // the caller's stats and published under "<scope>.expansion", so
+  // traces show the triangle-inequality prune/shortcut effectiveness of
+  // Section 5.3 in isolation.
+  JoinStats expansion_stats;
   std::vector<ResultPair> collected =
-      minispark::Distinct(all, num_partitions, names + "expand/distinct")
+      MapPartitionsWithStats(
+          minispark::Parallelize(ctx, std::move(items), num_partitions),
+          expand, names + "expand/pairs", &expansion_stats)
           .Collect();
   expansion_stats.PublishCounters(&ctx->counters(),
                                   counter_scope + ".expansion");

@@ -56,7 +56,10 @@ struct ClOptions {
   /// the clustering and the expansion phase" (Section 5.1); this toggle
   /// makes that claim measurable. Correctness is unaffected: every
   /// member keeps one representative, and cross-cluster pairs are
-  /// recovered through the joining phase as before.
+  /// recovered through the joining phase as before. The expansion
+  /// emits each pair once with or without it (its owner rule,
+  /// docs/ALGORITHMS.md §5); resolving only removes routes the rule
+  /// would skip.
   bool resolve_overlaps = false;
   /// Clustering phase variant; kJoinBased is the paper's algorithm.
   ClusteringStrategy clustering_strategy = ClusteringStrategy::kJoinBased;

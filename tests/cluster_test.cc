@@ -140,11 +140,15 @@ TEST(CentroidJoinTest, RespectsPerTypeThresholds) {
   CentroidJoinSpec spec = fx.JoinSpec(0.2);
   auto pairs = RunCentroidJoin(&fx.ctx, table, fx.clustering.centroids,
                                fx.clustering.singletons, spec, &fx.stats);
+  const std::unordered_set<RankingId> singleton_set(
+      fx.clustering.singletons.begin(), fx.clustering.singletons.end());
   for (const CentroidPair& cp : pairs) {
+    const int singletons = static_cast<int>(singleton_set.count(cp.ci)) +
+                           static_cast<int>(singleton_set.count(cp.cj));
     uint32_t bound;
-    if (cp.ci_singleton && cp.cj_singleton) {
+    if (singletons == 2) {
       bound = spec.raw_theta;
-    } else if (cp.ci_singleton || cp.cj_singleton) {
+    } else if (singletons == 1) {
       bound = spec.raw_theta + spec.raw_theta_c;
     } else {
       bound = spec.raw_theta + 2 * spec.raw_theta_c;

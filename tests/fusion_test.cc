@@ -103,7 +103,7 @@ TEST(FusionMetricsTest, ClPipelineStageCountIsPinned) {
   Context ctx(TestCluster());
   ASSERT_TRUE(
       RunSimilarityJoin(&ctx, dataset, ConfigFor(Algorithm::kCL)).ok());
-  EXPECT_EQ(ctx.metrics().NumStages(), 40u);
+  EXPECT_EQ(ctx.metrics().NumStages(), 15u);
 }
 
 /// A narrow three-op chain executes as exactly one stage (plus the

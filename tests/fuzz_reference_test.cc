@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -20,6 +23,8 @@
 #include "data/generator.h"
 #include "jaccard/jaccard.h"
 #include "jaccard/jaccard_join.h"
+#include "join/cluster.h"
+#include "join/cluster_join.h"
 #include "join/distance_policy.h"
 #include "join/vj_nl.h"
 #include "ranking/footrule.h"
@@ -427,6 +432,80 @@ TEST(FuzzReferenceTest, EveryFootruleAlgorithmMatchesBruteForce) {
         ExpectExactPairs(RunSimilarityJoin(&ctx, fd.ds, config), expected,
                          fd.name + " " + AlgorithmName(algorithm) +
                              " theta=" + std::to_string(theta));
+      }
+    }
+  }
+}
+
+/// CL's expansion emits a pair only from its owner cluster pair
+/// (docs/ALGORITHMS.md §5). Overlapping clusters give a pair several
+/// routes, so on the datasets of exact and near copies every variant
+/// that changes the clusters or the centroid-join thresholds must still
+/// return each pair exactly once.
+TEST(FuzzReferenceTest, ClusterJoinEmitsEachPairOnceUnderOverlap) {
+  testutil::ScopedEnv trace_env("RANKJOIN_TRACE_LEVEL", "counters");
+  const std::vector<std::pair<std::string, std::function<void(ClOptions*)>>>
+      variants = {
+          {"default", [](ClOptions*) {}},
+          {"resolve_overlaps", [](ClOptions* o) { o->resolve_overlaps = true; }},
+          {"no_singleton_optimization",
+           [](ClOptions* o) { o->singleton_optimization = false; }},
+          {"no_upper_shortcut",
+           [](ClOptions* o) { o->triangle_upper_shortcut = false; }},
+          {"random_centroids",
+           [](ClOptions* o) {
+             o->clustering_strategy = ClusteringStrategy::kRandomCentroids;
+           }},
+      };
+  for (const FuzzDataset& fd : AdversarialDatasets()) {
+    if (fd.name != "identical" && fd.name != "near-dups") continue;
+    const int k = fd.ds.k;
+    const double theta_c = 0.05;
+    const uint32_t raw_c = RawThreshold(theta_c, k);
+
+    // The clusters really overlap: some ranking lies in two of them.
+    {
+      minispark::Context ctx(testutil::TestCluster(3, 5));
+      const ItemOrder order =
+          ItemOrder::FromFrequencies(CountItemFrequencies(fd.ds.rankings));
+      const std::vector<OrderedRanking> ordered =
+          MakeOrderedDataset(fd.ds.rankings, order);
+      std::vector<const OrderedRanking*> all;
+      for (const OrderedRanking& r : ordered) all.push_back(&r);
+      internal::SelfJoinSpec spec;
+      spec.raw_theta = raw_c;
+      spec.k = k;
+      spec.num_partitions = 5;
+      spec.prefix_mode = PrefixMode::kOverlap;
+      JoinStats stats;
+      const Clustering clustering = RunClusteringPhase(&ctx, all, spec, &stats);
+      std::unordered_map<RankingId, int> clusters_of;
+      for (RankingId c : clustering.centroids) ++clusters_of[c];
+      for (const ClusterPair& cp : clustering.pairs) ++clusters_of[cp.member];
+      int most = 0;
+      for (const auto& [id, count] : clusters_of) most = std::max(most, count);
+      EXPECT_GE(most, 2) << fd.name;
+    }
+
+    for (double theta :
+         {0.3, ThetaForRaw(MaxFootrule(k) - 1 - 2 * raw_c, k)}) {
+      const std::set<ResultPair> expected = testutil::Truth(fd.ds, theta);
+      for (const auto& [name, apply] : variants) {
+        minispark::Context ctx(testutil::TestCluster(3, 5));
+        ClOptions options;
+        options.theta = theta;
+        options.theta_c = theta_c;
+        apply(&options);
+        ExpectExactPairs(RunClusterJoin(&ctx, fd.ds, options), expected,
+                         fd.name + " cl " + name +
+                             " theta=" + std::to_string(theta));
+        if (fd.name == "near-dups" && name == "default") {
+          const auto snapshot = ctx.counters().Snapshot();
+          const std::map<std::string, uint64_t> counters(snapshot.begin(),
+                                                         snapshot.end());
+          EXPECT_GT(counters.at("cl.expansion.owner_skipped"), 0u)
+              << "theta=" << theta;
+        }
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/generator.h"
 
@@ -60,6 +61,17 @@ TEST_F(IoTest, TextRoundTripOfMappedColumnarFile) {
   EXPECT_EQ(loaded->rankings, original.rankings);
   std::remove(flat_path.c_str());
   std::remove(text_path.c_str());
+}
+
+TEST_F(IoTest, ColumnarWriteRejectsShortRanking) {
+  RankingDataset dataset;
+  dataset.k = 3;
+  dataset.rankings.emplace_back(0, std::vector<ItemId>{1, 2});
+  const std::string path = TempPath("short.rkjc");
+  const Status s = WriteFlatRankings(path, dataset);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("ranking 0"), std::string::npos) << s;
+  std::remove(path.c_str());
 }
 
 TEST_F(IoTest, ParsesExplicitIdsAndComments) {

@@ -46,7 +46,7 @@ TEST(JaccardCountersTest, ClusterJoinCountersArePinned) {
   EXPECT_EQ(s.candidates, 2677u);
   EXPECT_EQ(s.verified, 2470u);
   EXPECT_EQ(s.triangle_filtered, 0u);
-  EXPECT_EQ(s.emitted_unverified, 72u);
+  EXPECT_EQ(s.emitted_unverified, 40u);
   EXPECT_EQ(s.clusters, 31u);
   EXPECT_EQ(s.singletons, 342u);
   EXPECT_EQ(s.result_pairs, 160u);
