@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the kernels on the join inner
-// loops: Footrule distance (plain, merge-join, bounded), prefix-size
-// math, Zipf sampling, reordering, and the per-group local joins.
+// loops: Footrule distance (plain, verification record, bounded in cache
+// and over pairs gathered from posting groups), prefix-size math, Zipf
+// sampling, reordering, and the per-group local joins.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -39,7 +43,7 @@ void BM_FootruleDistancePlain(benchmark::State& state) {
 }
 BENCHMARK(BM_FootruleDistancePlain)->Arg(10)->Arg(25);
 
-void BM_FootruleDistanceMergeJoin(benchmark::State& state) {
+void BM_FootruleDistanceRecord(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   RankingDataset ds = MakeData(k, 256);
   auto ordered = MakeOrderedDataset(ds.rankings, ItemOrder());
@@ -51,10 +55,11 @@ void BM_FootruleDistanceMergeJoin(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_FootruleDistanceMergeJoin)->Arg(10)->Arg(25);
+BENCHMARK(BM_FootruleDistanceRecord)->Arg(10)->Arg(25);
 
+/// In cache: 256 rankings, consecutive pairs. Args: theta*100, k.
 void BM_FootruleDistanceBounded(benchmark::State& state) {
-  const int k = 10;
+  const int k = static_cast<int>(state.range(1));
   RankingDataset ds = MakeData(k, 256);
   auto ordered = MakeOrderedDataset(ds.rankings, ItemOrder());
   const uint32_t bound = RawThreshold(0.01 * state.range(0), k);
@@ -66,7 +71,71 @@ void BM_FootruleDistanceBounded(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_FootruleDistanceBounded)->Arg(10)->Arg(40);  // theta*100
+BENCHMARK(BM_FootruleDistanceBounded)
+    ->Args({10, 10})
+    ->Args({40, 10})
+    ->Args({40, 25});
+
+/// Gathered: the pairs a nested-loop group join verifies, in the order it
+/// meets them, over a 40k-ranking DBLP-like dataset (vocabulary scaled
+/// with k) ordered by item frequency. The groups are its overlap-prefix
+/// posting lists at theta 0.4, in a seeded random order, each cut to
+/// 1,024 postings, until 1M pairs are gathered. The two rankings of a
+/// pair lie anywhere in the ordered dataset, so this row pays the memory
+/// traffic of a join's verification that the in-cache row above does not.
+void BM_VerifyGathered(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  GeneratorOptions options = DblpLikeOptions();
+  options.k = k;
+  options.num_rankings = 40000;
+  options.domain_size = 200 * static_cast<uint32_t>(k);
+  const RankingDataset ds = GenerateDataset(options);
+  const ItemOrder order =
+      ItemOrder::FromFrequencies(CountItemFrequencies(ds.rankings));
+  const std::vector<OrderedRanking> ordered =
+      MakeOrderedDataset(ds.rankings, order);
+  const uint32_t raw_theta = RawThreshold(0.4, k);
+  const size_t prefix = static_cast<size_t>(OverlapPrefix(raw_theta, k));
+
+  std::unordered_map<ItemId, std::vector<const OrderedRanking*>> lists;
+  for (const OrderedRanking& r : ordered) {
+    for (size_t t = 0; t < prefix; ++t) {
+      lists[r.canonical[t].item].push_back(&r);
+    }
+  }
+  std::vector<ItemId> keys;
+  for (const auto& [item, list] : lists) keys.push_back(item);
+  std::sort(keys.begin(), keys.end());
+  Rng rng(5);
+  rng.Shuffle(keys);
+  constexpr size_t kMaxList = 1024;
+  constexpr size_t kPairs = 1'000'000;
+  std::vector<std::pair<const OrderedRanking*, const OrderedRanking*>> pairs;
+  for (ItemId item : keys) {
+    const std::vector<const OrderedRanking*>& list = lists[item];
+    const size_t n = std::min(list.size(), kMaxList);
+    for (size_t i = 0; i + 1 < n && pairs.size() < kPairs; ++i) {
+      for (size_t j = i + 1; j < n && pairs.size() < kPairs; ++j) {
+        pairs.emplace_back(list[i], list[j]);
+      }
+    }
+    if (pairs.size() >= kPairs) break;
+  }
+
+  uint64_t passed = 0;
+  for (auto _ : state) {
+    for (const auto& [a, b] : pairs) {
+      passed += FootruleDistanceBounded(*a, *b, raw_theta).has_value();
+    }
+  }
+  benchmark::DoNotOptimize(passed);
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["ns_per_verify"] = benchmark::Counter(
+      static_cast<double>(pairs.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_VerifyGathered)->Arg(10)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_PrefixMath(benchmark::State& state) {
   uint32_t t = 0;
@@ -119,8 +188,8 @@ MakeGroup(size_t n, int k) {
   std::vector<PrefixPosting> group;
   for (const OrderedRanking& r : backing) {
     uint16_t key_rank = 0;
-    for (const ItemEntry& e : r.by_item) {
-      if (e.item == 0) key_rank = e.rank;
+    for (uint16_t rank = 0; rank < r.k; ++rank) {
+      if (r.lanes[rank] == 0) key_rank = rank;
     }
     group.push_back(PrefixPosting{r.id, key_rank, false, &r});
   }

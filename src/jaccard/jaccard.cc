@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "ranking/lanes.h"
 
 namespace rankjoin {
 namespace {
@@ -14,21 +15,7 @@ constexpr double kEpsilon = 1e-9;
 }  // namespace
 
 int SetOverlap(const OrderedRanking& a, const OrderedRanking& b) {
-  int overlap = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.by_item.size() && j < b.by_item.size()) {
-    if (a.by_item[i].item == b.by_item[j].item) {
-      ++overlap;
-      ++i;
-      ++j;
-    } else if (a.by_item[i].item < b.by_item[j].item) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return overlap;
+  return static_cast<int>(WeighLanes(a, b, LaneWeight::kShared));
 }
 
 double JaccardDistanceFromOverlap(int overlap, int k) {

@@ -11,13 +11,16 @@ namespace rankjoin {
 /// paper names as future work ("we plan to extend our approach to sets
 /// where the Jaccard distance is used", Section 8).
 ///
-/// Rankings double as sets here: the rank information is ignored and
-/// the item-sorted `by_item` array enables O(k) overlap computation.
+/// Rankings double as sets here: the rank information is ignored, and
+/// the overlap is the `shared` count of the verification-record kernel
+/// that Footrule uses too (ranking/lanes.h), so one record layout
+/// serves both distances.
 /// The Jaccard distance d(A, B) = 1 - |A∩B| / |A∪B| is a metric
 /// (Steinhaus), so the CL framework's triangle-inequality reasoning
 /// carries over unchanged.
 
-/// Number of common items of two sets in item-sorted representation.
+/// Number of common items of two sets: branch-free SIMD compares of the
+/// verification records up to kMaxBlockLanes, O(k log k) above.
 int SetOverlap(const OrderedRanking& a, const OrderedRanking& b);
 
 /// Jaccard distance of two size-k sets with overlap `o`:

@@ -13,9 +13,10 @@ JoinResult BruteForcePipeline(const RankingDataset& dataset, double theta) {
   JoinResult result;
   const typename P::Distance threshold = P::Threshold(theta, dataset.k);
 
-  // The identity ordering is fine — brute force needs only the by_item
-  // arrays for O(k) distance computation. Ordering off the columnar
-  // store covers mmap-born datasets whose Ranking vector is empty.
+  // The identity ordering is fine: brute force reads only the
+  // verification records (`lanes`), which do not depend on the order.
+  // Ordering off the columnar store covers mmap-born datasets whose
+  // Ranking vector is empty.
   const ItemOrder order;
   std::vector<OrderedRanking> ordered =
       MakeOrderedDataset(dataset.store(), order);

@@ -18,8 +18,10 @@ namespace rankjoin {
 /// One element of a posting list after the prefix flat-map: a ranking
 /// that contains the list's key item in its prefix.
 ///
-/// The `ranking` pointer refers into the shared RankingTable (see
-/// verify.h); postings are what travels through shuffles.
+/// The `ranking` pointer refers into the vector of OrderedRankings that
+/// the pipeline ordered and holds for the whole join (vj.h OrderDataset),
+/// so a posting carries no ranking data; postings are what travels
+/// through shuffles.
 struct PrefixPosting {
   RankingId id = 0;
   /// Original rank of the key item inside this ranking — lets the

@@ -1,18 +1,8 @@
 #include "join/verify.h"
 
 #include "common/logging.h"
-#include "ranking/footrule.h"
 
 namespace rankjoin {
-
-std::optional<uint32_t> VerifyPair(const OrderedRanking& a,
-                                   const OrderedRanking& b,
-                                   uint32_t raw_theta, JoinStats* stats) {
-  ++stats->verified;
-  std::optional<uint32_t> distance = FootruleDistanceBounded(a, b, raw_theta);
-  if (distance.has_value()) ++stats->verify_passed;
-  return distance;
-}
 
 RankingTable::RankingTable(const std::vector<OrderedRanking>& rankings)
     : rankings_(&rankings) {

@@ -5,17 +5,24 @@
 #include <optional>
 
 #include "join/stats.h"
+#include "ranking/footrule.h"
 #include "ranking/ranking.h"
 
 namespace rankjoin {
 
 /// Verification kernel shared by every join algorithm: computes the
 /// bounded Footrule distance between two rankings, maintains the
-/// `verified` counter, and returns the raw distance when it is within
-/// `raw_theta`.
-std::optional<uint32_t> VerifyPair(const OrderedRanking& a,
-                                   const OrderedRanking& b,
-                                   uint32_t raw_theta, JoinStats* stats);
+/// `verified` and `verify_passed` counters, and returns the raw distance
+/// when it is within `raw_theta`.
+inline std::optional<uint32_t> VerifyPair(const OrderedRanking& a,
+                                          const OrderedRanking& b,
+                                          uint32_t raw_theta,
+                                          JoinStats* stats) {
+  ++stats->verified;
+  std::optional<uint32_t> distance = FootruleDistanceBounded(a, b, raw_theta);
+  if (distance.has_value()) ++stats->verify_passed;
+  return distance;
+}
 
 /// Read-only view resolving ranking ids to their OrderedRanking.
 ///

@@ -121,6 +121,9 @@ Result<JoinPlan> PlanJoin(minispark::Context* ctx,
   if (config.theta < 0.0 || config.theta >= 1.0) {
     return Status::InvalidArgument("theta must be in [0, 1)");
   }
+  // Before anything reads dataset.store(): building the store copies k
+  // items from every ranking, so a short one would be read past its end.
+  RANKJOIN_RETURN_NOT_OK(dataset.Validate());
 
   PlannerOptions opts = options;
   if (opts.num_workers <= 0) opts.num_workers = ctx->num_workers();

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "ranking/lanes.h"
 
 namespace rankjoin {
 
@@ -44,40 +45,20 @@ uint32_t FootruleDistance(const Ranking& a, const Ranking& b) {
 }
 
 uint32_t FootruleDistance(const OrderedRanking& a, const OrderedRanking& b) {
-  auto result = FootruleDistanceBounded(a, b, MaxFootrule(a.k));
-  return *result;
+  RANKJOIN_DCHECK(a.k == b.k);
+  return MaxFootrule(a.k) - 2 * WeighLanes(a, b, LaneWeight::kFootrule);
 }
 
 std::optional<uint32_t> FootruleDistanceBounded(const OrderedRanking& a,
                                                 const OrderedRanking& b,
                                                 uint32_t bound) {
   RANKJOIN_DCHECK(a.k == b.k);
-  const uint32_t k = a.k;
-  uint32_t distance = 0;
-  size_t i = 0;
-  size_t j = 0;
-  const auto& av = a.by_item;
-  const auto& bv = b.by_item;
-  while (i < av.size() && j < bv.size()) {
-    if (av[i].item == bv[j].item) {
-      const uint32_t ra = av[i].rank;
-      const uint32_t rb = bv[j].rank;
-      distance += ra > rb ? ra - rb : rb - ra;
-      ++i;
-      ++j;
-    } else if (av[i].item < bv[j].item) {
-      distance += k - av[i].rank;
-      ++i;
-    } else {
-      distance += k - bv[j].rank;
-      ++j;
-    }
-    if (distance > bound) return std::nullopt;
-  }
-  for (; i < av.size(); ++i) distance += k - av[i].rank;
-  for (; j < bv.size(); ++j) distance += k - bv[j].rank;
-  if (distance > bound) return std::nullopt;
-  return distance;
+  // distance <= bound  <=>  weight >= need.
+  const uint32_t max = MaxFootrule(a.k);
+  const uint32_t need = bound >= max ? 0 : (max - bound + 1) / 2;
+  const uint32_t weight = WeighLanes(a, b, LaneWeight::kFootrule, need);
+  if (weight < need) return std::nullopt;
+  return max - 2 * weight;
 }
 
 }  // namespace rankjoin

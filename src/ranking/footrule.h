@@ -36,13 +36,18 @@ double NormalizeDistance(uint32_t raw, int k);
 /// reference. Join inner loops use the OrderedRanking overload.
 uint32_t FootruleDistance(const Ranking& a, const Ranking& b);
 
-/// Raw Footrule distance via merge-join over the item-sorted entries.
-/// O(k) time, no allocation.
+/// Raw Footrule distance over the verification records, as
+/// k(k+1) − 2·Σ_shared (k − max(r_a, r_b)) (ranking/lanes.h). O(k²)
+/// branch-free SIMD compares up to kMaxBlockLanes, O(k log k) above; no
+/// allocation.
 uint32_t FootruleDistance(const OrderedRanking& a, const OrderedRanking& b);
 
 /// Threshold-bounded distance: returns the raw distance if it is
-/// <= `bound`, otherwise nullopt (early exit once the partial sum
-/// exceeds the bound). This is the verification kernel of every join.
+/// <= `bound`, otherwise nullopt. The bound becomes the shared weight the
+/// pair needs; the compares have no branch on the items, and after each
+/// item of `a` the kernel tests whether that weight is still reachable,
+/// so most failing pairs stop early. This is the verification kernel of
+/// every join.
 std::optional<uint32_t> FootruleDistanceBounded(const OrderedRanking& a,
                                                 const OrderedRanking& b,
                                                 uint32_t bound);

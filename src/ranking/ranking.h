@@ -1,6 +1,7 @@
 #ifndef RANKJOIN_RANKING_RANKING_H_
 #define RANKJOIN_RANKING_RANKING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -97,18 +98,32 @@ struct ItemEntry {
   }
 };
 
-/// A ranking transformed for join processing (paper Section 4 / Fig. 3):
-/// items carry their original rank, and two orders are materialized —
-/// the canonical (ascending global frequency) order that determines
-/// prefixes, and an item-id order enabling O(k) merge-join distance
-/// computation.
+/// Items per lane vector of the verification record: four 32-bit items,
+/// one SSE2 register.
+inline constexpr size_t kLaneWidth = 4;
+
+/// Length of a verification record for rankings of length `k`: k rounded
+/// up to a whole number of lane vectors.
+constexpr size_t PaddedLanes(size_t k) {
+  return (k + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
+}
+
+/// A ranking transformed for join processing (paper Section 4 / Fig. 3).
+/// Two views of the same k items:
+///   - `canonical`: (item, original rank) entries in the canonical
+///     (ascending global frequency) order that determines prefixes;
+///   - `lanes`: the verification record, the items in rank order (lane r
+///     holds the item ranked r), zero-padded to PaddedLanes(k) so the
+///     distance kernels (ranking/lanes.h) load whole lane vectors. A
+///     lane's position is its rank, so the record needs no sort and no
+///     rank column; pad lanes carry weight 0 and never contribute.
 struct OrderedRanking {
   RankingId id = 0;
   uint16_t k = 0;
   /// Entries in canonical order; the prefix of size p is the first p.
   std::vector<ItemEntry> canonical;
-  /// The same entries sorted by item id.
-  std::vector<ItemEntry> by_item;
+  /// The verification record (48 B at k = 10).
+  std::vector<ItemId> lanes;
 };
 
 }  // namespace rankjoin

@@ -71,11 +71,8 @@ OrderedRanking MakeOrderedImpl(RankingId id, const ItemId* items, size_t k,
               if (pa != pb) return pa < pb;
               return a.item < b.item;
             });
-  out.by_item = out.canonical;
-  std::sort(out.by_item.begin(), out.by_item.end(),
-            [](const ItemEntry& a, const ItemEntry& b) {
-              return a.item < b.item;
-            });
+  out.lanes.assign(PaddedLanes(k), 0);
+  std::copy(items, items + k, out.lanes.begin());
   return out;
 }
 

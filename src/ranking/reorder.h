@@ -40,9 +40,9 @@ std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
 std::unordered_map<ItemId, uint32_t> CountItemFrequencies(
     const FlatRankings& rankings);
 
-/// Transforms one ranking into its join representation: entries carry the
-/// original rank; `canonical` is sorted by the global item order and
-/// `by_item` by item id (see OrderedRanking).
+/// Transforms one ranking into its join representation: `canonical`
+/// holds (item, original rank) entries sorted by the global item order,
+/// and `lanes` the zero-padded verification record (see OrderedRanking).
 OrderedRanking MakeOrdered(const Ranking& ranking, const ItemOrder& order);
 /// Same, reading straight out of a columnar store slice.
 OrderedRanking MakeOrdered(const RankingView& view, const ItemOrder& order);

@@ -104,7 +104,7 @@ TEST(FuzzReferenceTest, FootruleMatchesNaive) {
   }
 }
 
-TEST(FuzzReferenceTest, MergeJoinDistanceMatchesNaive) {
+TEST(FuzzReferenceTest, RecordDistanceMatchesNaive) {
   Rng rng(9002);
   ItemOrder identity;
   for (int trial = 0; trial < 3000; ++trial) {

@@ -37,8 +37,8 @@ struct GroupFixture {
     backing = MakeOrderedDataset(rankings, ItemOrder());
     for (const OrderedRanking& r : backing) {
       uint16_t key_rank = 0;
-      for (const ItemEntry& e : r.by_item) {
-        if (e.item == 0) key_rank = e.rank;
+      for (uint16_t rank = 0; rank < r.k; ++rank) {
+        if (r.lanes[rank] == 0) key_rank = rank;
       }
       group.push_back(PrefixPosting{r.id, key_rank, false, &r});
     }

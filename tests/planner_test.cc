@@ -5,7 +5,7 @@
 // ParseAlgorithm/AlgorithmName round trip for every enum value, the
 // FlatRankings span overloads of the estimate helpers, and the runtime
 // skew-splitting equivalence (split == unsplit byte-identical pairs,
-// with and without chaos injection).
+// with and without chaos injection), and validation before profiling.
 
 #include "plan/planner.h"
 
@@ -251,6 +251,25 @@ TEST(PlannerTest, TrivialAndInvalidInputs) {
 
   config.theta = 1.5;
   EXPECT_FALSE(plan::PlanJoin(&ctx, SmallSkewedDataset(), config).ok());
+}
+
+TEST(PlannerTest, RejectsShortRankingBeforeReadingTheStore) {
+  // A 2-item ranking in a k = 3 dataset. Building the flat store copies
+  // k items from every ranking, so profiling it would read past the
+  // short ranking's items; PlanJoin must validate first and name it.
+  Context ctx(TestCluster());
+  SimilarityJoinConfig config;
+  config.algorithm = Algorithm::kAuto;
+  config.theta = 0.2;
+  RankingDataset dataset;
+  dataset.k = 3;
+  dataset.rankings = {Ranking(0, {1, 2, 3}), Ranking(1, {4, 5, 6}),
+                      Ranking(7, {1, 2})};
+  const auto plan = plan::PlanJoin(&ctx, dataset, config);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("ranking 7"), std::string::npos)
+      << plan.status().message();
 }
 
 TEST(PlannerTest, ThetaCShrinksUntilClIsFeasible) {

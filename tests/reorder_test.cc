@@ -65,13 +65,21 @@ TEST(MakeOrderedTest, OriginalRanksPreserved) {
   }
 }
 
-TEST(MakeOrderedTest, ByItemSortedByItemId) {
-  std::vector<Ranking> rankings = {Ranking(0, {9, 4, 6, 1})};
+TEST(MakeOrderedTest, LanesHoldItemsInRankOrder) {
+  // Lane r holds the item ranked r; the record is zero-padded to whole
+  // lane vectors (k = 5 -> 8 lanes).
+  std::vector<Ranking> rankings = {Ranking(0, {9, 4, 6, 1, 7})};
   OrderedRanking o = MakeOrdered(rankings[0], ItemOrder());
-  ASSERT_EQ(o.by_item.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(
-      o.by_item.begin(), o.by_item.end(),
-      [](const ItemEntry& a, const ItemEntry& b) { return a.item < b.item; }));
+  ASSERT_EQ(o.lanes.size(), PaddedLanes(5));
+  ASSERT_EQ(o.lanes.size(), 8u);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_EQ(o.lanes[static_cast<size_t>(r)], rankings[0].ItemAt(r));
+  }
+  for (size_t lane = 5; lane < o.lanes.size(); ++lane) {
+    EXPECT_EQ(o.lanes[lane], 0u);
+  }
+  // Every canonical entry's (item, rank) is the record's lane at that rank.
+  for (const ItemEntry& e : o.canonical) EXPECT_EQ(o.lanes[e.rank], e.item);
 }
 
 TEST(MakeOrderedDatasetTest, PreservesOrderAndSize) {
